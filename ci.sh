@@ -155,12 +155,14 @@ echo "ci: wrote rcrlint.json"
 echo "ci: rcrlint -escapes audit"
 go run ./cmd/rcrlint -escapes ./...
 
-#   5. rcrbench -check — perf regression gate: re-times the mat/qp/sdp
-#                      probe series against the committed BENCH_post.json
-#                      and fails if any probe is slower than the 2.5x noise
-#                      allowance (or any hot plan method allocates). Giving
-#                      back a plan-kernel speedup therefore needs an
-#                      explicit baseline recapture in the diff.
+#   5. rcrbench -check — perf regression gate: re-times the probe
+#                      registry's gated families (mat/qp/sdp kernels, qosd
+#                      service, wire codec + restart pair, dist + fan-out
+#                      pair) against the committed BENCH_post.json and fails
+#                      if any probe is slower than the 2.5x noise allowance,
+#                      a pair's self-gate trips, or any hot plan method
+#                      allocates. Giving back a plan-kernel speedup therefore
+#                      needs an explicit baseline recapture in the diff.
 echo "ci: rcrbench -check BENCH_post.json"
 go run ./cmd/rcrbench -check BENCH_post.json
 

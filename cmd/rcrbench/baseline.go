@@ -12,7 +12,8 @@ package main
 // tracks the factorization plans (CholPlan, EigPlan, mat.BatchSolve) — the
 // interface the solver inner loops hold — timing the same logical
 // operations the pre-plan wrappers performed. serveProbeSeries times the
-// qosd service request path end to end (see serveprobe.go).
+// qosd service request path end to end (see serveprobe.go). probeRegistry
+// lists every probe family once; capture and -check both iterate it.
 
 import (
 	"context"
@@ -64,8 +65,8 @@ type ExperimentRun struct {
 	Rows int     `json:"rows"`
 }
 
-// captureBaseline measures every probe and experiment and writes the
-// baseline file into dir.
+// captureBaseline measures every registry probe and experiment and writes
+// the baseline file into dir.
 func captureBaseline(label, dir string, seed uint64) (string, error) {
 	if label == "" {
 		return "", fmt.Errorf("baseline label must be non-empty")
@@ -79,89 +80,17 @@ func captureBaseline(label, dir string, seed uint64) (string, error) {
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		RCRWorkers: os.Getenv("RCR_WORKERS"),
 	}
-	kernels, err := kernelProbes(seed)
+	probes, cleanup, err := probeRegistry(seed)
+	defer cleanup()
 	if err != nil {
 		return "", err
 	}
-	matKernels, err := matProbes(seed)
-	if err != nil {
+	if b.Kernels, err = captureProbes(probes); err != nil {
 		return "", err
 	}
-	kernels = append(kernels, matKernels...)
-	for _, p := range kernels {
-		iters, ns := timeProbe(p.fn)
-		b.Kernels = append(b.Kernels, KernelTiming{Name: p.name, Size: p.size, Iters: iters, NsPerOp: ns})
-	}
-	for _, gp := range guardPairs(seed) {
-		iters, nsU, nsG := timePair(gp.unguarded, gp.guarded)
-		b.Kernels = append(b.Kernels,
-			KernelTiming{Name: gp.name + "_unguarded", Size: gp.size, Iters: iters, NsPerOp: nsU},
-			KernelTiming{Name: gp.name + "_guarded", Size: gp.size, Iters: iters, NsPerOp: nsG})
-	}
-	hotAllocs, err := allocProbes(seed)
-	b.HotAllocs = hotAllocs
-	if err != nil {
+	if b.HotAllocs, err = allocProbes(seed); err != nil {
 		return "", err
 	}
-	for _, pp := range probPairs(seed) {
-		iters, nsA, nsB := timePair(pp.a, pp.b)
-		b.Kernels = append(b.Kernels,
-			KernelTiming{Name: pp.nameA, Size: pp.size, Iters: iters, NsPerOp: nsA},
-			KernelTiming{Name: pp.nameB, Size: pp.size, Iters: iters, NsPerOp: nsB})
-	}
-	svc, err := serveProbeSeries(seed)
-	if err != nil {
-		return "", err
-	}
-	for _, p := range svc {
-		iters, ns := timeProbe(p.fn)
-		if iters == 0 {
-			return "", fmt.Errorf("serve probe %s failed (latency gate or request failure)", p.name)
-		}
-		b.Kernels = append(b.Kernels, KernelTiming{Name: p.name, Size: p.size, Iters: iters, NsPerOp: ns})
-	}
-	wireProbes, restartPair, wireCleanup, err := wireProbeSeries(seed)
-	if err != nil {
-		return "", err
-	}
-	defer wireCleanup()
-	for _, p := range wireProbes {
-		iters, ns := timeProbe(p.fn)
-		if iters == 0 {
-			return "", fmt.Errorf("wire probe %s failed", p.name)
-		}
-		b.Kernels = append(b.Kernels, KernelTiming{Name: p.name, Size: p.size, Iters: iters, NsPerOp: ns})
-	}
-	iters, nsCold, nsWarm, err := runWireRestartPair(restartPair)
-	if err != nil {
-		// The self-gate: a snapshot restart that loses to cold solves is a
-		// defect, not a data point — refuse to commit it as the baseline.
-		return "", err
-	}
-	b.Kernels = append(b.Kernels,
-		KernelTiming{Name: restartPair.nameA, Size: restartPair.size, Iters: iters, NsPerOp: nsCold},
-		KernelTiming{Name: restartPair.nameB, Size: restartPair.size, Iters: iters, NsPerOp: nsWarm})
-	distProbes, fanoutPair, distCleanup, err := distProbeSeries(seed)
-	if err != nil {
-		return "", err
-	}
-	defer distCleanup()
-	for _, p := range distProbes {
-		iters, ns := timeProbe(p.fn)
-		if iters == 0 {
-			return "", fmt.Errorf("dist probe %s failed", p.name)
-		}
-		b.Kernels = append(b.Kernels, KernelTiming{Name: p.name, Size: p.size, Iters: iters, NsPerOp: ns})
-	}
-	iters, nsLocal, nsFanout, err := runDistFanoutPair(fanoutPair)
-	if err != nil {
-		// Same contract as the restart pair: a fan-out that diverges from the
-		// local bits or fails its speed gate is a defect, not a data point.
-		return "", err
-	}
-	b.Kernels = append(b.Kernels,
-		KernelTiming{Name: fanoutPair.nameA, Size: fanoutPair.size, Iters: iters, NsPerOp: nsLocal},
-		KernelTiming{Name: fanoutPair.nameB, Size: fanoutPair.size, Iters: iters, NsPerOp: nsFanout})
 	reg := experiments.Registry()
 	for _, id := range experiments.Order() {
 		start := time.Now()
@@ -189,15 +118,106 @@ func captureBaseline(label, dir string, seed uint64) (string, error) {
 	return path, f.Close()
 }
 
+// captureProbes times every probe in order. Any failure — a probe error or
+// a tripped self-gate — fails the capture: a broken probe recorded as a zero
+// timing would drop out of -check for good.
+func captureProbes(probes []probe) ([]KernelTiming, error) {
+	var out []KernelTiming
+	for _, p := range probes {
+		ts, err := measure(p)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, ts...)
+	}
+	return out, nil
+}
+
+// probe is one row of the probe registry. A single probe sets name and fn.
+// An interleaved pair also sets nameB and fnB and is timed by timePair, so
+// host-load drift cancels out of the A/B ratio. A self-gating pair adds
+// gate, which rejects timings that break the claim the pair exists to
+// prove.
 type probe struct {
-	name string
-	size int
-	fn   func() error
+	name, nameB string
+	size        int
+	fn, fnB     func() error
+	gate        func(nsA, nsB float64) error
+	check       bool // -check re-times it against the baseline
+}
+
+// probeRegistry builds every probe a baseline records, in baseline order,
+// and marks the families -check re-times: the plan kernels, the qosd
+// service, the wire codec with its restart pair, and the distributed solve
+// with its fan-out pair. The long-stable kernel probes and the guard and
+// prob pairs are captured only. Each family constructor returns a cleanup for
+// what its probes hold (servers, pools, temp dirs), nil when they hold
+// nothing; the returned cleanup runs them all and is always safe to call.
+func probeRegistry(seed uint64) (probes []probe, cleanup func(), err error) {
+	var cleanups []func()
+	cleanup = func() {
+		for _, c := range cleanups {
+			c()
+		}
+	}
+	for _, fam := range []struct {
+		build func(seed uint64) ([]probe, func(), error)
+		check bool
+	}{
+		{kernelProbes, false},
+		{matProbes, true},
+		{guardPairs, false},
+		{probPairs, false},
+		{serveProbeSeries, true},
+		{wireProbeSeries, true},
+		{distProbeSeries, true},
+	} {
+		ps, c, err := fam.build(seed)
+		if c != nil {
+			cleanups = append(cleanups, c)
+		}
+		if err != nil {
+			return nil, cleanup, err
+		}
+		for i := range ps {
+			ps[i].check = fam.check
+		}
+		probes = append(probes, ps...)
+	}
+	return probes, cleanup, nil
+}
+
+// key is the name/size identity a baseline entry is matched by.
+func (k KernelTiming) key() string { return fmt.Sprintf("%s/%d", k.Name, k.Size) }
+
+// measure times p and applies its self-gate, returning one timing per
+// side.
+func measure(p probe) ([]KernelTiming, error) {
+	if p.fnB == nil {
+		iters, ns, err := timeProbe(p.fn)
+		if err != nil {
+			return nil, fmt.Errorf("probe %s/%d: %w", p.name, p.size, err)
+		}
+		return []KernelTiming{{Name: p.name, Size: p.size, Iters: iters, NsPerOp: ns}}, nil
+	}
+	iters, nsA, nsB, err := timePair(p.fn, p.fnB)
+	if err != nil {
+		return nil, fmt.Errorf("pair %s/%s/%d: %w", p.name, p.nameB, p.size, err)
+	}
+	if p.gate != nil {
+		if err := p.gate(nsA, nsB); err != nil {
+			return nil, fmt.Errorf("%w: %s %.0f ns/op vs %s %.0f ns/op", err, p.nameB, nsB, p.name, nsA)
+		}
+	}
+	return []KernelTiming{
+		{Name: p.name, Size: p.size, Iters: iters, NsPerOp: nsA},
+		{Name: p.nameB, Size: p.size, Iters: iters, NsPerOp: nsB},
+	}, nil
 }
 
 // kernelProbes builds the closed set of hot-path micro-benchmarks. Inputs
 // are deterministic (seeded); only the timing varies between runs.
-func kernelProbes(seed uint64) ([]probe, error) {
+func kernelProbes(seed uint64) ([]probe, func(), error) {
 	r := rng.New(seed)
 	sig4096 := make([]complex128, 4096)
 	for i := range sig4096 {
@@ -239,44 +259,34 @@ func kernelProbes(seed uint64) ([]probe, error) {
 		psoDims[i] = pso.Dim{Lo: -5, Hi: 5}
 	}
 
-	probes := []probe{
-		{"fft_pow2_repeated", 4096, func() error {
+	return []probe{
+		{name: "fft_pow2_repeated", size: 4096, fn: func() error {
 			_ = fft.FFT(sig4096)
 			return nil
 		}},
-		{"fft_bluestein_repeated", 4095, func() error {
+		{name: "fft_bluestein_repeated", size: 4095, fn: func() error {
 			_ = fft.FFT(sig4095)
 			return nil
 		}},
-		{"stft_transform", len(audio), func() error {
+		{name: "stft_transform", size: len(audio), fn: func() error {
 			_, err := stft.Transform(audio, stftCfg)
 			return err
 		}},
-		{"mat_mul", mm, func() error {
+		{name: "mat_mul", size: mm, fn: func() error {
 			_, err := a.Mul(bm)
 			return err
 		}},
-		{"mat_mulvec", mv, func() error {
+		{name: "mat_mulvec", size: mv, fn: func() error {
 			_, err := mvec.MulVec(x)
 			return err
 		}},
-		{"pso_sphere", 6, func() error {
+		{name: "pso_sphere", size: 6, fn: func() error {
 			//lint:ignore dropstatus timing probe: only wall-clock matters, the iterate is discarded
 			_, err := pso.Minimize(&pso.Problem{Dims: psoDims, Eval: sphere},
 				pso.Options{Seed: seed, Swarm: 16, MaxIter: 60})
 			return err
 		}},
-	}
-	return probes, nil
-}
-
-// guardPair is one solver hot loop run twice: with the zero budget and with
-// a fully armed monitor.
-type guardPair struct {
-	name      string
-	size      int
-	unguarded func() error
-	guarded   func() error
+	}, nil, nil
 }
 
 // guardPairs pairs guarded and unguarded runs of the same solver hot loops
@@ -284,9 +294,8 @@ type guardPair struct {
 // baseline can bound the overhead of an *armed* guard.Monitor — context
 // poll, wall-deadline check, and eval accounting at every iteration
 // boundary — against the identical zero-budget run. The robustness contract
-// is that the guarded column stays within 2% of the unguarded one; timePair
-// interleaves the two sides so host-load drift cancels out of the ratio.
-func guardPairs(seed uint64) []guardPair {
+// is that the guarded column stays within 2% of the unguarded one.
+func guardPairs(seed uint64) ([]probe, func(), error) {
 	// A fully armed budget that never fires: every check path (cancelable
 	// ctx select, deadline clock, eval cap) is exercised. A plain
 	// context.Background would skip the select — its done channel is nil.
@@ -379,120 +388,99 @@ func guardPairs(seed uint64) []guardPair {
 			return err
 		}
 	}
-	return []guardPair{
-		{"sdp_admm", n, sdpRun(guard.Budget{}), sdpRun(armed())},
-		{"pso_sphere", 6, psoRun(guard.Budget{}), psoRun(armed())},
-		{"bfgs_rosenbrock", rn, bfgsRun(guard.Budget{}), bfgsRun(armed())},
-	}
+	return []probe{
+		{name: "sdp_admm_unguarded", nameB: "sdp_admm_guarded", size: n, fn: sdpRun(guard.Budget{}), fnB: sdpRun(armed())},
+		{name: "pso_sphere_unguarded", nameB: "pso_sphere_guarded", size: 6, fn: psoRun(guard.Budget{}), fnB: psoRun(armed())},
+		{name: "bfgs_rosenbrock_unguarded", nameB: "bfgs_rosenbrock_guarded", size: rn, fn: bfgsRun(guard.Budget{}), fnB: bfgsRun(armed())},
+	}, nil, nil
 }
 
-// timePair measures a guarded/unguarded pair with interleaved rounds:
-// calibrate an iteration count on the unguarded side, then alternate
-// unguarded and guarded rounds ten times and keep each side's minimum.
-// Interleaving means both sides sample the same host-load conditions, so
-// slow drift cancels out of the guarded/unguarded ratio — sequential
+// timePair measures a pair with interleaved rounds: calibrate an iteration
+// count on side a, then alternate a and b rounds ten times and keep each
+// side's minimum. Interleaving means both sides sample the same host-load
+// conditions, so slow drift cancels out of the b/a ratio — sequential
 // 150 ms probes on a busy host show ±5% swings that would swamp the <2%
-// overhead bound this pair exists to check.
-func timePair(unguarded, guarded func() error) (iters int, nsUnguarded, nsGuarded float64) {
-	const roundTarget = 40 * time.Millisecond
-	if err := unguarded(); err != nil {
-		return 0, 0, 0
+// guard overhead bound the guard pairs exist to check.
+func timePair(a, b func() error) (iters int, nsA, nsB float64, err error) {
+	if err := b(); err != nil {
+		return 0, 0, 0, err
 	}
-	if err := guarded(); err != nil {
-		return 0, 0, 0
+	if iters, _, err = calibrate(a, 40*time.Millisecond); err != nil {
+		return 0, 0, 0, err
 	}
-	iters = 1
-	for {
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			if err := unguarded(); err != nil {
-				return 0, 0, 0
-			}
-		}
-		elapsed := time.Since(start)
-		if elapsed >= roundTarget || iters >= 1<<22 {
-			break
-		}
-		next := iters * 2
-		if elapsed > 0 {
-			est := int(float64(iters) * float64(roundTarget) / float64(elapsed) * 12 / 10)
-			if est > next {
-				next = est
-			}
-		}
-		iters = next
-	}
-	round := func(fn func() error) (time.Duration, error) {
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			if err := fn(); err != nil {
-				return 0, err
-			}
-		}
-		return time.Since(start), nil
-	}
-	bestU, bestG := time.Duration(0), time.Duration(0)
+	bestA, bestB := time.Duration(0), time.Duration(0)
 	for r := 0; r < 10; r++ {
-		eu, err := round(unguarded)
+		ea, err := timeRound(a, iters)
 		if err != nil {
-			return 0, 0, 0
+			return 0, 0, 0, err
 		}
-		eg, err := round(guarded)
+		eb, err := timeRound(b, iters)
 		if err != nil {
-			return 0, 0, 0
+			return 0, 0, 0, err
 		}
-		if bestU == 0 || eu < bestU {
-			bestU = eu
+		if bestA == 0 || ea < bestA {
+			bestA = ea
 		}
-		if bestG == 0 || eg < bestG {
-			bestG = eg
+		if bestB == 0 || eb < bestB {
+			bestB = eb
 		}
 	}
-	return iters, float64(bestU.Nanoseconds()) / float64(iters), float64(bestG.Nanoseconds()) / float64(iters)
+	return iters, float64(bestA.Nanoseconds()) / float64(iters), float64(bestB.Nanoseconds()) / float64(iters), nil
 }
 
 // timeProbe runs fn enough times to pass a fixed wall-clock target and
 // reports the iteration count and ns/op (testing.B-style calibration).
-// Once calibrated it takes the best of three measurement rounds: on a
-// shared host the minimum is the least contaminated estimate of the true
-// cost, and the guarded/unguarded probe pairs need single-percent
-// resolution that one round cannot deliver.
-func timeProbe(fn func() error) (iters int, nsPerOp float64) {
-	const target = 150 * time.Millisecond
-	if err := fn(); err != nil { // warm up and surface configuration errors
-		return 0, 0
+// Once calibrated it takes the best of three measurement rounds (the
+// calibrating round counts as the first): on a shared host the minimum is
+// the least contaminated estimate of the true cost.
+func timeProbe(fn func() error) (iters int, nsPerOp float64, err error) {
+	iters, best, err := calibrate(fn, 150*time.Millisecond)
+	if err != nil {
+		return 0, 0, err
 	}
-	iters = 1
-	for {
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			if err := fn(); err != nil {
-				return 0, 0
-			}
+	for r := 0; r < 2; r++ {
+		e, err := timeRound(fn, iters)
+		if err != nil {
+			return 0, 0, err
 		}
-		elapsed := time.Since(start)
+		if e < best {
+			best = e
+		}
+	}
+	return iters, float64(best.Nanoseconds()) / float64(iters), nil
+}
+
+// calibrate warms fn up (surfacing configuration errors) and grows the
+// iteration count until one round of fn takes at least target, returning
+// that count and the round's wall time.
+func calibrate(fn func() error, target time.Duration) (iters int, elapsed time.Duration, err error) {
+	if err := fn(); err != nil {
+		return 0, 0, err
+	}
+	for iters = 1; ; {
+		if elapsed, err = timeRound(fn, iters); err != nil {
+			return 0, 0, err
+		}
 		if elapsed >= target || iters >= 1<<22 {
-			best := elapsed
-			for round := 0; round < 2; round++ {
-				start = time.Now()
-				for i := 0; i < iters; i++ {
-					if err := fn(); err != nil {
-						return 0, 0
-					}
-				}
-				if e := time.Since(start); e < best {
-					best = e
-				}
-			}
-			return iters, float64(best.Nanoseconds()) / float64(iters)
+			return iters, elapsed, nil
 		}
 		next := iters * 2
 		if elapsed > 0 {
-			est := int(float64(iters) * float64(target) / float64(elapsed) * 12 / 10)
-			if est > next {
+			if est := int(float64(iters) * float64(target) / float64(elapsed) * 12 / 10); est > next {
 				next = est
 			}
 		}
 		iters = next
 	}
+}
+
+// timeRound runs fn iters times and returns the wall time.
+func timeRound(fn func() error, iters int) (time.Duration, error) {
+	start := time.Now()
+	for i := 0; i < iters; i++ {
+		if err := fn(); err != nil {
+			return 0, err
+		}
+	}
+	return time.Since(start), nil
 }

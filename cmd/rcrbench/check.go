@@ -1,11 +1,14 @@
 package main
 
 // Perf regression gate: `rcrbench -check BENCH_<label>.json` re-times the
-// mat/qp/sdp probe series against the kernel timings recorded in a committed
-// baseline and fails when any probe regresses past the noise allowance. This
-// is what keeps a later PR from silently giving back the plan-kernel
-// speedups: ci.sh runs it against the committed BENCH_post.json, so a
-// regression has to either fix itself or recapture the baseline in a
+// probe registry's gated families — the mat/qp/sdp plan kernels, the qosd
+// service, the wire codec with its restart pair, the distributed solve with
+// its fan-out pair — against the kernel timings recorded in a committed
+// baseline, re-runs both pairs' self-gates, and re-measures the hot-root
+// alloc probes. It fails when any probe regresses past the noise
+// allowance. This is what keeps a later PR from silently giving back the
+// plan-kernel speedups: ci.sh runs it against the committed BENCH_post.json,
+// so a regression has to either fix itself or recapture the baseline in a
 // reviewable diff.
 
 import (
@@ -22,10 +25,11 @@ import (
 // by a wide margin.
 const checkFactor = 2.5
 
-// checkBaseline re-times the mat probe series and compares each probe to
-// the baseline entry with the same name and size. Probes absent from the
-// baseline are reported as new and skipped; alloc probes are re-measured
-// and must still be zero.
+// checkBaseline re-times every registry probe marked for -check and
+// compares each timing to the baseline entry with the same name and size.
+// Timings absent from the baseline are reported as new and skipped; a
+// failing probe or tripped self-gate is a regression; alloc probes are
+// re-measured and must still be zero.
 func checkBaseline(path string, seed uint64) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -37,105 +41,28 @@ func checkBaseline(path string, seed uint64) error {
 	}
 	ref := make(map[string]float64, len(base.Kernels))
 	for _, k := range base.Kernels {
-		ref[fmt.Sprintf("%s/%d", k.Name, k.Size)] = k.NsPerOp
+		ref[k.key()] = k.NsPerOp
 	}
 
-	probes, err := matProbes(seed)
+	probes, cleanup, err := probeRegistry(seed)
+	defer cleanup()
 	if err != nil {
 		return err
 	}
-	// The qosd service probes ride the same gate: a regression in request
-	// latency (or a tripped URLLC p99 deadline gate, which fails the probe
-	// outright) fails -check just like a kernel slowdown.
-	svc, err := serveProbeSeries(seed)
-	if err != nil {
-		return err
-	}
-	probes = append(probes, svc...)
-	// The wire codec probes ride it too; the cold/warm restart pair is
-	// handled separately below so its self-gate (warm must beat cold) runs
-	// with interleaved timing.
-	wireProbes, restartPair, wireCleanup, err := wireProbeSeries(seed)
-	if err != nil {
-		return err
-	}
-	defer wireCleanup()
-	probes = append(probes, wireProbes...)
-	// The distributed-solve probes ride it as well; the local/fan-out pair is
-	// handled separately below so its core-aware self-gate (bit-identity
-	// always, speedup where cores exist) runs with interleaved timing.
-	distProbes, fanoutPair, distCleanup, err := distProbeSeries(seed)
-	if err != nil {
-		return err
-	}
-	defer distCleanup()
-	probes = append(probes, distProbes...)
 	var regressions []string
 	for _, p := range probes {
-		key := fmt.Sprintf("%s/%d", p.name, p.size)
-		want, ok := ref[key]
-		if !ok || want <= 0 {
-			fmt.Printf("check %-24s not in baseline, skipped\n", key)
+		if !p.check {
 			continue
 		}
-		_, got := timeProbe(p.fn)
-		if got == 0 {
-			return fmt.Errorf("probe %s failed to run", key)
+		timings, err := measure(p)
+		if err != nil {
+			regressions = append(regressions, err.Error())
+			continue
 		}
-		ratio := got / want
-		status := "ok"
-		if ratio > checkFactor {
-			status = "REGRESSION"
-			regressions = append(regressions, fmt.Sprintf("%s %.0fns -> %.0fns (%.2fx)", key, want, got, ratio))
-		}
-		fmt.Printf("check %-24s %12.0f ns/op  baseline %12.0f  (%.2fx) %s\n", key, got, want, ratio, status)
-	}
-
-	iters, nsCold, nsWarm, err := runWireRestartPair(restartPair)
-	if err != nil {
-		regressions = append(regressions, err.Error())
-	} else if iters > 0 {
-		for _, side := range []struct {
-			name string
-			got  float64
-		}{{restartPair.nameA, nsCold}, {restartPair.nameB, nsWarm}} {
-			key := fmt.Sprintf("%s/%d", side.name, restartPair.size)
-			want, ok := ref[key]
-			if !ok || want <= 0 {
-				fmt.Printf("check %-24s not in baseline, skipped\n", key)
-				continue
+		for _, t := range timings {
+			if r := compareTiming(ref, t); r != "" {
+				regressions = append(regressions, r)
 			}
-			ratio := side.got / want
-			status := "ok"
-			if ratio > checkFactor {
-				status = "REGRESSION"
-				regressions = append(regressions, fmt.Sprintf("%s %.0fns -> %.0fns (%.2fx)", key, want, side.got, ratio))
-			}
-			fmt.Printf("check %-24s %12.0f ns/op  baseline %12.0f  (%.2fx) %s\n", key, side.got, want, ratio, status)
-		}
-	}
-
-	fanIters, nsLocal, nsFanout, err := runDistFanoutPair(fanoutPair)
-	if err != nil {
-		regressions = append(regressions, err.Error())
-	} else if fanIters > 0 {
-		for _, side := range []struct {
-			name string
-			got  float64
-		}{{fanoutPair.nameA, nsLocal}, {fanoutPair.nameB, nsFanout}} {
-			key := fmt.Sprintf("%s/%d", side.name, fanoutPair.size)
-			want, ok := ref[key]
-			if !ok || want <= 0 {
-				fmt.Printf("check %-24s not in baseline, skipped\n", key)
-				continue
-			}
-			ratio := side.got / want
-			status := "ok"
-			if ratio > checkFactor {
-				status = "REGRESSION"
-				regressions = append(regressions, fmt.Sprintf("%s %.0fns -> %.0fns (%.2fx)", key, want, side.got, ratio))
-			}
-			fmt.Printf("check %-24s %12.0f ns/op  baseline %12.0f  (%.2fx) %s\n", key, side.got, want, ratio, status)
 		}
 	}
 
@@ -155,4 +82,24 @@ func checkBaseline(path string, seed uint64) error {
 	}
 	fmt.Printf("check: all probes within %.1fx of %s\n", checkFactor, path)
 	return nil
+}
+
+// compareTiming prints t's check line against its baseline entry in ref and
+// returns a description of the regression when t is slower than
+// checkFactor allows, "" otherwise.
+func compareTiming(ref map[string]float64, t KernelTiming) string {
+	key := t.key()
+	want, ok := ref[key]
+	if !ok || want <= 0 {
+		fmt.Printf("check %-24s not in baseline, skipped\n", key)
+		return ""
+	}
+	ratio := t.NsPerOp / want
+	status, regression := "ok", ""
+	if ratio > checkFactor {
+		status = "REGRESSION"
+		regression = fmt.Sprintf("%s %.0fns -> %.0fns (%.2fx)", key, want, t.NsPerOp, ratio)
+	}
+	fmt.Printf("check %-24s %12.0f ns/op  baseline %12.0f  (%.2fx) %s\n", key, t.NsPerOp, want, ratio, status)
+	return regression
 }

@@ -75,25 +75,24 @@ func distSameBits(want, got *dist.MultiResult) error {
 // four-worker pool stays up for the pair's lifetime (workers are reused
 // across iterations, as a long-lived deployment would); cleanup tears it
 // down.
-func distProbeSeries(seed uint64) (probes []probe, pair pairProbe, cleanup func(), err error) {
+func distProbeSeries(seed uint64) (probes []probe, cleanup func(), err error) {
 	mc, err := dist.GenerateMultiCell(3, 1, 1, 1, 5, 1.0, seed)
 	if err != nil {
-		return nil, pairProbe{}, func() {}, err
+		return nil, nil, err
 	}
 	opts := dist.Options{Seed: seed}
 
 	want, err := dist.SolveLocal(mc, opts)
 	if err != nil {
-		return nil, pairProbe{}, func() {}, err
+		return nil, nil, err
 	}
 	if want.Status != guard.StatusConverged {
-		return nil, pairProbe{}, func() {}, fmt.Errorf("dist probe reference did not certify: %v", want.Status)
+		return nil, nil, fmt.Errorf("dist probe reference did not certify: %v", want.Status)
 	}
 
 	pool := distPool(4, func(i int) dist.WorkerOptions {
 		return dist.WorkerOptions{Name: fmt.Sprintf("bench-%d", i), HeartbeatEvery: 50 * time.Millisecond}
 	}, dist.PoolOptions{DeadAfter: 5 * time.Second})
-	cleanup = pool.Close
 
 	localSide := func() error {
 		got, err := dist.SolveLocal(mc, opts)
@@ -115,10 +114,8 @@ func distProbeSeries(seed uint64) (probes []probe, pair pairProbe, cleanup func(
 		}
 		return nil
 	}
-	pair = pairProbe{"dist_local_solve", "dist_fanout_4w", len(mc.Cells), localSide, fanoutSide}
-
-	probes = []probe{
-		{"dist_dead_worker_recovery", len(mc.Cells), func() error {
+	return []probe{
+		{name: "dist_dead_worker_recovery", size: len(mc.Cells), fn: func() error {
 			p := distPool(2, func(i int) dist.WorkerOptions {
 				if i == 0 {
 					return dist.WorkerOptions{DieAfterJobs: 1}
@@ -132,25 +129,20 @@ func distProbeSeries(seed uint64) (probes []probe, pair pairProbe, cleanup func(
 			}
 			return distSameBits(want, got)
 		}},
-	}
-	return probes, pair, cleanup, nil
+		{name: "dist_local_solve", nameB: "dist_fanout_4w", size: len(mc.Cells),
+			fn: localSide, fnB: fanoutSide, gate: fanoutPays},
+	}, pool.Close, nil
 }
 
-// runDistFanoutPair times the pair with interleaved rounds and enforces the
-// core-aware self-gate described at the top of this file.
-func runDistFanoutPair(pair pairProbe) (iters int, nsLocal, nsFanout float64, err error) {
-	iters, nsLocal, nsFanout = timePair(pair.a, pair.b)
-	if iters == 0 {
-		return 0, 0, 0, fmt.Errorf("dist fan-out pair failed to run")
-	}
-	if runtime.GOMAXPROCS(0) > 1 {
+// fanoutPays is the fan-out pair's core-aware self-gate described at the
+// top of this file.
+func fanoutPays(nsLocal, nsFanout float64) error {
+	if procs := runtime.GOMAXPROCS(0); procs > 1 {
 		if nsFanout >= nsLocal {
-			return 0, 0, 0, fmt.Errorf("fan-out does not pay at GOMAXPROCS=%d: %s %.0f ns/op vs %s %.0f ns/op",
-				runtime.GOMAXPROCS(0), pair.nameB, nsFanout, pair.nameA, nsLocal)
+			return fmt.Errorf("fan-out does not pay at GOMAXPROCS=%d", procs)
 		}
 	} else if nsFanout > nsLocal*distOverheadFactor {
-		return 0, 0, 0, fmt.Errorf("fan-out coordination overhead exceeds %.1fx on a single core: %s %.0f ns/op vs %s %.0f ns/op",
-			distOverheadFactor, pair.nameB, nsFanout, pair.nameA, nsLocal)
+		return fmt.Errorf("fan-out coordination overhead exceeds %.1fx on a single core", distOverheadFactor)
 	}
-	return iters, nsLocal, nsFanout, nil
+	return nil
 }

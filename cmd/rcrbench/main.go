@@ -38,7 +38,7 @@ func run(args []string) error {
 	asJSON := fs.Bool("json", false, "emit JSON instead of tables")
 	baseline := fs.String("baseline", "", "capture a perf baseline, writing BENCH_<label>.json")
 	benchDir := fs.String("benchdir", ".", "directory for -baseline output")
-	check := fs.String("check", "", "re-time the mat probes against a BENCH_*.json baseline; fail on regression")
+	check := fs.String("check", "", "re-time the gated probe families (mat, serve, wire, dist, allocs) against a BENCH_*.json baseline; fail on regression")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

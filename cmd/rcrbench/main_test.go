@@ -2,8 +2,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -96,5 +98,85 @@ func TestRunQuickExperiment(t *testing.T) {
 	}
 	if err := run([]string{"-exp", "f3", "-quick", "-json"}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestProbeRegistryKeys pins the registry without timing anything: every
+// name/size key is unique, capture records exactly the committed
+// BENCH_post.json kernel keys in order, and -check re-times exactly the
+// gated families.
+func TestProbeRegistryKeys(t *testing.T) {
+	probes, cleanup, err := probeRegistry(1)
+	defer cleanup()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys, checked []string
+	seen := map[string]bool{}
+	for _, p := range probes {
+		names := []string{p.name}
+		if p.fnB != nil {
+			names = append(names, p.nameB)
+		}
+		for _, n := range names {
+			k := KernelTiming{Name: n, Size: p.size}.key()
+			if seen[k] {
+				t.Errorf("duplicate registry key %s", k)
+			}
+			seen[k] = true
+			keys = append(keys, k)
+			if p.check {
+				checked = append(checked, k)
+			}
+		}
+	}
+
+	raw, err := os.ReadFile(filepath.Join("..", "..", "BENCH_post.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var base Baseline
+	if err := json.Unmarshal(raw, &base); err != nil {
+		t.Fatal(err)
+	}
+	var committed []string
+	for _, k := range base.Kernels {
+		committed = append(committed, k.key())
+	}
+	if !reflect.DeepEqual(keys, committed) {
+		t.Errorf("registry keys differ from BENCH_post.json kernels:\ngot  %v\nwant %v", keys, committed)
+	}
+
+	gated := []string{
+		"mat_cholesky/64", "mat_cholesky/128", "mat_cholesky/192",
+		"mat_symeig/64", "mat_symeig/128",
+		"mat_mul/64", "mat_mul/96", "mat_mul/128",
+		"mat_batch_solve/16", "mat_batch_solve/32", "mat_batch_solve/64",
+		"qp_barrier_iter/40", "sdp_admm_iter/24",
+		"qosd_throughput/8", "qosd_urllc_p99/5", "qosd_shed_latency/1",
+		"wire_encode/16", "wire_decode/16",
+		"cache_cold_solve/16", "cache_warm_restart/16",
+		"dist_dead_worker_recovery/3", "dist_local_solve/3", "dist_fanout_4w/3",
+	}
+	if !reflect.DeepEqual(checked, gated) {
+		t.Errorf("-check subset:\ngot  %v\nwant %v", checked, gated)
+	}
+}
+
+// TestCaptureFailsOnBrokenProbe: a failing probe of any kind fails the
+// capture instead of entering the baseline as a zero timing that -check
+// would skip.
+func TestCaptureFailsOnBrokenProbe(t *testing.T) {
+	ok := func() error { return nil }
+	broken := func() error { return errors.New("probe broke") }
+	for name, table := range map[string][]probe{
+		"single":      {{name: "fine", size: 1, fn: ok}, {name: "broken", size: 1, fn: broken}},
+		"pair side A": {{name: "broken", nameB: "fine", size: 1, fn: broken, fnB: ok}},
+		"pair side B": {{name: "fine", nameB: "broken", size: 1, fn: ok, fnB: broken}},
+	} {
+		timings, err := captureProbes(table)
+		if err == nil || !strings.Contains(err.Error(), "broken") {
+			t.Errorf("%s: capture returned %v, %v; want an error naming the broken probe", name, timings, err)
+		}
 	}
 }

@@ -64,7 +64,7 @@ func spdMatrix(r *rng.Rand, n int) (*mat.Matrix, error) {
 }
 
 // matProbes builds the factorization/eig/GEMM/batch probe series.
-func matProbes(seed uint64) ([]probe, error) {
+func matProbes(seed uint64) ([]probe, func(), error) {
 	r := rng.New(seed + 4)
 	var probes []probe
 
@@ -73,12 +73,12 @@ func matProbes(seed uint64) ([]probe, error) {
 	for _, n := range []int{64, 128, 192} {
 		spd, err := spdMatrix(r, n)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		rhs := randVec(r, n)
 		x := make([]float64, n)
 		plan := mat.NewCholPlan(n)
-		probes = append(probes, probe{"mat_cholesky", n, func() error {
+		probes = append(probes, probe{name: "mat_cholesky", size: n, fn: func() error {
 			if err := plan.Factor(spd); err != nil {
 				return err
 			}
@@ -91,7 +91,7 @@ func matProbes(seed uint64) ([]probe, error) {
 	for _, n := range []int{64, 128} {
 		sym := randSym(r, n)
 		plan := mat.NewEigPlan(n)
-		probes = append(probes, probe{"mat_symeig", n, func() error {
+		probes = append(probes, probe{name: "mat_symeig", size: n, fn: func() error {
 			return plan.Decompose(sym)
 		}})
 	}
@@ -104,7 +104,7 @@ func matProbes(seed uint64) ([]probe, error) {
 			a.Data[i] = r.Norm()
 			b.Data[i] = r.Norm()
 		}
-		probes = append(probes, probe{"mat_mul", n, func() error {
+		probes = append(probes, probe{name: "mat_mul", size: n, fn: func() error {
 			_, err := a.Mul(b)
 			return err
 		}})
@@ -127,7 +127,7 @@ func matProbes(seed uint64) ([]probe, error) {
 			as[i] = a
 			bs[i] = randVec(r, n)
 		}
-		probes = append(probes, probe{"mat_batch_solve", n, func() error {
+		probes = append(probes, probe{name: "mat_batch_solve", size: n, fn: func() error {
 			xs, errs := mat.BatchSolve(as, bs)
 			for _, err := range errs {
 				if err != nil {
@@ -143,10 +143,9 @@ func matProbes(seed uint64) ([]probe, error) {
 
 	qpProbe, err := qpBarrierProbe(seed)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	probes = append(probes, qpProbe, sdpADMMProbe(seed))
-	return probes, nil
+	return append(probes, qpProbe, sdpADMMProbe(seed)), nil, nil
 }
 
 // qpBarrierProbe times a full barrier solve of a fixed strictly feasible
@@ -174,7 +173,7 @@ func qpBarrierProbe(seed uint64) (probe, error) {
 	if _, err := qp.Solve(p, x0, opts); err != nil {
 		return probe{}, fmt.Errorf("qp probe: %w", err)
 	}
-	return probe{"qp_barrier_iter", n, func() error {
+	return probe{name: "qp_barrier_iter", size: n, fn: func() error {
 		//lint:ignore dropstatus timing probe: only wall-clock matters, the iterate is discarded
 		_, err := qp.Solve(p, x0, opts)
 		return err
@@ -197,7 +196,7 @@ func sdpADMMProbe(seed uint64) probe {
 		B: []float64{2, 0.1, 0.5, -0.1},
 	}
 	opts := sdp.Options{MaxIter: 80, Tol: 1e-12}
-	return probe{"sdp_admm_iter", n, func() error {
+	return probe{name: "sdp_admm_iter", size: n, fn: func() error {
 		//lint:ignore dropstatus timing probe: only wall-clock matters, the iterate is discarded
 		_, err := sdp.Solve(p, opts)
 		if err != nil && !errors.Is(err, sdp.ErrNoProgress) {

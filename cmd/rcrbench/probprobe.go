@@ -26,14 +26,6 @@ import (
 	"repro/internal/rng"
 )
 
-// pairProbe is one two-sided comparison; unlike guardPair the sides carry
-// their own baseline names.
-type pairProbe struct {
-	nameA, nameB string
-	size         int
-	a, b         func() error
-}
-
 // rraColumnIR builds a synthetic column-selection MILP shaped like the qos
 // RRA model — binary columns, one-per-RB rows, per-user power and min-rate
 // rows — sized to solve in well under a millisecond so the probes measure
@@ -91,7 +83,7 @@ func rraColumnIR(r *rng.Rand, jitter float64) *prob.Problem {
 }
 
 // probPairs builds the IR-layer probe pairs.
-func probPairs(seed uint64) []pairProbe {
+func probPairs(seed uint64) ([]probe, func(), error) {
 	fixed := rraColumnIR(rng.New(seed+2), 0)
 	n := fixed.NumVars
 
@@ -153,10 +145,10 @@ func probPairs(seed uint64) []pairProbe {
 		return solved(prob.Solve(fixed, prob.Options{Cert: prob.CertConfig{Disable: true}}))
 	}
 
-	return []pairProbe{
-		{"prob_milp_compile", "prob_milp_fingerprint", n, compileSide, fingerprintSide},
-		{"prob_solve_uncached", "prob_solve_cached", n, uncachedSide, cachedSide},
-		{"prob_resolve_cold", "prob_resolve_warm", n, coldSide, warmSide},
-		{"prob_solve_certified", "prob_solve_uncertified", n, certifiedSide, uncertifiedSide},
-	}
+	return []probe{
+		{name: "prob_milp_compile", nameB: "prob_milp_fingerprint", size: n, fn: compileSide, fnB: fingerprintSide},
+		{name: "prob_solve_uncached", nameB: "prob_solve_cached", size: n, fn: uncachedSide, fnB: cachedSide},
+		{name: "prob_resolve_cold", nameB: "prob_resolve_warm", size: n, fn: coldSide, fnB: warmSide},
+		{name: "prob_solve_certified", nameB: "prob_solve_uncertified", size: n, fn: certifiedSide, fnB: uncertifiedSide},
+	}, nil, nil
 }

@@ -32,17 +32,17 @@ import (
 )
 
 // serveProbeSeries builds the qosd probe set.
-func serveProbeSeries(seed uint64) ([]probe, error) {
+func serveProbeSeries(seed uint64) ([]probe, func(), error) {
 	small, err := qos.GenerateProblem(1, 1, 1, 5, seed)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Heavy enough that an unbudgeted exact solve runs well past the URLLC
 	// deadline — the p99 gate below is only meaningful if the watchdog has
 	// something to cut short.
 	heavy, err := qos.GenerateProblem(2, 1, 2, 8, seed)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	const burst = 8
@@ -82,7 +82,7 @@ func serveProbeSeries(seed uint64) ([]probe, error) {
 	// realistic probe run: after one primer solve, every request sheds.
 	shedSrv := serve.New(serve.Config{AdmitRate: 1e-12, AdmitBurst: 1})
 	if resp := shedSrv.Do(serve.Request{Class: qos.ClassEMBB, Problem: small, Seed: seed}); resp.Outcome == serve.OutcomeShed {
-		return nil, fmt.Errorf("shed probe primer was shed; bucket should start full")
+		return nil, nil, fmt.Errorf("shed probe primer was shed; bucket should start full")
 	}
 	shed := func() error {
 		resp := shedSrv.Do(serve.Request{Class: qos.ClassEMBB, Problem: small, Seed: seed})
@@ -93,8 +93,8 @@ func serveProbeSeries(seed uint64) ([]probe, error) {
 	}
 
 	return []probe{
-		{"qosd_throughput", burst, throughput},
-		{"qosd_urllc_p99", len(heavy.Users), urllcP99},
-		{"qosd_shed_latency", 1, shed},
-	}, nil
+		{name: "qosd_throughput", size: burst, fn: throughput},
+		{name: "qosd_urllc_p99", size: len(heavy.Users), fn: urllcP99},
+		{name: "qosd_shed_latency", size: 1, fn: shed},
+	}, nil, nil
 }

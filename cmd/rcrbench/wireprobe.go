@@ -8,16 +8,19 @@ package main
 //	  (the steady-state path Load runs per entry; the alloc probes pin
 //	  both at 0 allocs/op)
 //
-// The cache_cold_solve / cache_warm_restart pair is the end-to-end payoff
-// claim behind qosd -cache-dir: one side solves a burst of requests with no
-// cache at all, the other restores a snapshot from disk (decode, re-lower,
-// re-certify) and serves the same burst through it. The pair self-gates —
-// a warm restart that fails to beat cold solves fails the baseline capture
-// and `rcrbench -check` outright, the same contract as the qosd_urllc_p99
-// latency gate — so the persistence layer cannot quietly decay into
-// overhead.
+// The cache_cold_solve / cache_warm_restart pair times the snapshot restart
+// path: one side solves a burst of requests with no cache at all, the other
+// restores a snapshot from disk (decode, re-lower, re-certify) and serves
+// the same burst through it. The restored cache carries its incumbent, so
+// the pair measures the incumbent-carrying cache; qosd runs its cache
+// forms-only (DisableWarmStarts), and its own restart gain is unmeasured.
+// The pair self-gates — a warm restart that fails to beat cold solves fails
+// the baseline capture and `rcrbench -check` outright, the same contract as
+// the qosd_urllc_p99 latency gate — so the persistence layer cannot quietly
+// decay into overhead.
 
 import (
+	"errors"
 	"fmt"
 	"os"
 
@@ -37,7 +40,7 @@ const wireRestartSolves = 16
 
 // wireProbeSeries builds the codec probes and the restart pair. The pair's
 // warm side loads the snapshot under dir, which cleanup removes.
-func wireProbeSeries(seed uint64) (probes []probe, pair pairProbe, cleanup func(), err error) {
+func wireProbeSeries(seed uint64) (probes []probe, cleanup func(), err error) {
 	fixed := rraColumnIR(rng.New(seed+2), 0)
 	n := fixed.NumVars
 
@@ -49,16 +52,16 @@ func wireProbeSeries(seed uint64) (probes []probe, pair pairProbe, cleanup func(
 	frame := append([]byte(nil), w.Bytes()...)
 	into := &prob.Problem{}
 	if _, err := prob.DecodeProblem(frame, into); err != nil {
-		return nil, pairProbe{}, cleanup, err
+		return nil, cleanup, err
 	}
 
 	probes = []probe{
-		{"wire_encode", n, func() error {
+		{name: "wire_encode", size: n, fn: func() error {
 			w.Reset()
 			fixed.EncodeWire(w)
 			return nil
 		}},
-		{"wire_decode", n, func() error {
+		{name: "wire_decode", size: n, fn: func() error {
 			_, err := prob.DecodeProblem(frame, into)
 			return err
 		}},
@@ -67,7 +70,7 @@ func wireProbeSeries(seed uint64) (probes []probe, pair pairProbe, cleanup func(
 	// The fixed snapshot the warm side restarts from: solve once, dump.
 	dir, err := os.MkdirTemp("", "rcrbench-wire-")
 	if err != nil {
-		return nil, pairProbe{}, cleanup, err
+		return nil, cleanup, err
 	}
 	releaseWriter := cleanup
 	cleanup = func() { os.RemoveAll(dir); releaseWriter() }
@@ -82,10 +85,10 @@ func wireProbeSeries(seed uint64) (probes []probe, pair pairProbe, cleanup func(
 		return nil
 	}
 	if err := solved(prob.Solve(fixed, prob.Options{Cache: seedCache})); err != nil {
-		return nil, pairProbe{}, cleanup, err
+		return nil, cleanup, err
 	}
 	if _, err := seedCache.Snapshot(dir); err != nil {
-		return nil, pairProbe{}, cleanup, err
+		return nil, cleanup, err
 	}
 
 	coldSide := func() error {
@@ -112,21 +115,16 @@ func wireProbeSeries(seed uint64) (probes []probe, pair pairProbe, cleanup func(
 		}
 		return nil
 	}
-	pair = pairProbe{"cache_cold_solve", "cache_warm_restart", n, coldSide, warmSide}
-	return probes, pair, cleanup, nil
+	probes = append(probes, probe{name: "cache_cold_solve", nameB: "cache_warm_restart", size: n,
+		fn: coldSide, fnB: warmSide, gate: restartPays})
+	return probes, cleanup, nil
 }
 
-// runWireRestartPair times the restart pair with interleaved rounds and
-// enforces the self-gate: a restarted cache must beat cold solves on the
-// same burst.
-func runWireRestartPair(pair pairProbe) (iters int, nsCold, nsWarm float64, err error) {
-	iters, nsCold, nsWarm = timePair(pair.a, pair.b)
-	if iters == 0 {
-		return 0, 0, 0, fmt.Errorf("wire restart pair failed to run")
-	}
+// restartPays is the restart pair's self-gate: a snapshot restart that
+// loses to cold solves on the same burst is a defect, not a data point.
+func restartPays(nsCold, nsWarm float64) error {
 	if nsWarm >= nsCold {
-		return 0, 0, 0, fmt.Errorf("warm restart does not pay: %s %.0f ns/op vs %s %.0f ns/op",
-			pair.nameB, nsWarm, pair.nameA, nsCold)
+		return errors.New("warm restart does not pay")
 	}
-	return iters, nsCold, nsWarm, nil
+	return nil
 }

@@ -186,14 +186,6 @@ type Problem struct {
 	Relax RelaxSolver
 }
 
-// Solve runs best-first branch and bound over the positional arguments.
-//
-// Deprecated: use SolveProblem with a typed Problem; this wrapper survives
-// for compatibility with pre-IR call sites.
-func Solve(n int, intVars []int, lo, hi []float64, relax RelaxSolver, o Options) (*Result, error) {
-	return SolveProblem(&Problem{NumVars: n, Integer: intVars, Lo: lo, Hi: hi, Relax: relax}, o)
-}
-
 // SolveProblem runs best-first branch and bound on the typed problem.
 func SolveProblem(p *Problem, o Options) (*Result, error) {
 	o = o.withDefaults()

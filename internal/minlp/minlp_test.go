@@ -230,7 +230,7 @@ func TestGenericRelaxationHook(t *testing.T) {
 		}
 		return []float64{x}, (x - 2.6) * (x - 2.6), RelaxOptimal, nil
 	}
-	res, err := Solve(1, []int{0}, []float64{0}, []float64{5}, relax, Options{})
+	res, err := SolveProblem(&Problem{NumVars: 1, Integer: []int{0}, Lo: []float64{0}, Hi: []float64{5}, Relax: relax}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestBoundsLengthValidation(t *testing.T) {
 	relax := func(lo, hi []float64) ([]float64, float64, RelaxStatus, error) {
 		return []float64{0}, 0, RelaxOptimal, nil
 	}
-	if _, err := Solve(2, nil, []float64{0}, []float64{1, 2}, relax, Options{}); err == nil {
+	if _, err := SolveProblem(&Problem{NumVars: 2, Lo: []float64{0}, Hi: []float64{1, 2}, Relax: relax}, Options{}); err == nil {
 		t.Fatal("want bounds length error")
 	}
 }

@@ -2,7 +2,6 @@ package minlp
 
 import (
 	"math"
-	"reflect"
 	"testing"
 
 	"repro/internal/guard"
@@ -39,11 +38,9 @@ func TestStatusGuardExhaustive(t *testing.T) {
 	}
 }
 
-// TestDeprecatedSolveMatchesTyped pins the compat contract of the positional
-// Solve wrapper: it must produce the identical Result as SolveProblem on the
-// equivalent typed Problem.
-func TestDeprecatedSolveMatchesTyped(t *testing.T) {
-	// Knapsack relaxation via the MILP LP hook, shared by both calls.
+// TestSolveProblemKnapsack solves a 0/1 knapsack through SolveProblem with
+// the MILP LP hook as the node relaxation.
+func TestSolveProblemKnapsack(t *testing.T) {
 	m := &MILP{
 		LP: lp.Problem{
 			NumVars:   3,
@@ -75,18 +72,11 @@ func TestDeprecatedSolveMatchesTyped(t *testing.T) {
 	lo := []float64{0, 0, 0}
 	hi := []float64{1, 1, 1}
 
-	typed, err := SolveProblem(&Problem{NumVars: 3, Integer: []int{0, 1, 2}, Lo: lo, Hi: hi, Relax: relax}, Options{})
+	res, err := SolveProblem(&Problem{NumVars: 3, Integer: []int{0, 1, 2}, Lo: lo, Hi: hi, Relax: relax}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	compat, err := Solve(3, []int{0, 1, 2}, lo, hi, relax, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(typed, compat) {
-		t.Fatalf("positional wrapper diverged from typed API:\ntyped:  %+v\ncompat: %+v", typed, compat)
-	}
-	if typed.Status != StatusOptimal || math.Abs(typed.Objective-(-20)) > 1e-9 {
-		t.Fatalf("knapsack solve: %+v", typed)
+	if res.Status != StatusOptimal || math.Abs(res.Objective-(-20)) > 1e-9 {
+		t.Fatalf("knapsack solve: %+v", res)
 	}
 }

@@ -40,69 +40,6 @@ func (p *Problem) EncodeWire(w *wire.Writer) {
 	w.EndFrame(start)
 }
 
-// BinarySize returns the exact size in bytes of p's framed encoding.
-func (p *Problem) BinarySize() int {
-	n := wire.HeaderSize + wire.ChecksumSize + 1 // frame + kind tag
-	if p.Matrix != nil {
-		m := p.Matrix
-		n += 8 + 1 + 1 // Dim + Obj + PSD
-		n += matrixWireSize(m.C)
-		n += 1 // A nil flag
-		if m.A != nil {
-			n += 4
-			for _, a := range m.A {
-				n += matrixWireSize(a)
-			}
-		}
-		n += f64sWireSize(m.B)
-		return n
-	}
-	n += 8 + 1 // NumVars + Maximize
-	n += f64sWireSize(p.Obj.Lin) + matrixWireSize(p.Obj.Quad) + 8
-	n += f64sWireSize(p.Lo) + f64sWireSize(p.Hi)
-	n += intsWireSize(p.Integer)
-	n += 1
-	if p.Lin != nil {
-		n += 4
-		for i := range p.Lin {
-			n += 1 + f64sWireSize(p.Lin[i].Coeffs) + 8
-		}
-	}
-	n += 1
-	if p.Quad != nil {
-		n += 4
-		for i := range p.Quad {
-			n += 1 + matrixWireSize(p.Quad[i].P) + f64sWireSize(p.Quad[i].Q) + 8
-		}
-	}
-	n += 1
-	if p.Bilin != nil {
-		n += 4 + 24*len(p.Bilin)
-	}
-	return n
-}
-
-func f64sWireSize(v []float64) int {
-	if v == nil {
-		return 1
-	}
-	return 1 + 4 + 8*len(v)
-}
-
-func intsWireSize(v []int) int {
-	if v == nil {
-		return 1
-	}
-	return 1 + 4 + 8*len(v)
-}
-
-func matrixWireSize(m *mat.Matrix) int {
-	if m == nil {
-		return 1
-	}
-	return 1 + 8 + 8*len(m.Data)
-}
-
 // Payload tags mirroring the fingerprint walk's problem-kind tags.
 const (
 	wireTagMatrix = 1
@@ -463,33 +400,6 @@ func (res *Result) EncodeWire(w *wire.Writer, fp Fingerprint) {
 	start := w.BeginFrame(wire.Header{Kind: wire.KindResult, Shape: fp.Shape, Content: fp.Content})
 	res.encodeWirePayload(w)
 	w.EndFrame(start)
-}
-
-// BinarySize returns the exact size in bytes of res's framed encoding.
-func (res *Result) BinarySize() int {
-	n := wire.HeaderSize + wire.ChecksumSize
-	n += f64sWireSize(res.X) + matrixWireSize(res.XMat)
-	n += 8 + 8 // Objective + Status
-	n += 4 + len(res.Backend)
-	n += 1
-	if res.Trail != nil {
-		n += 4
-		for _, s := range res.Trail {
-			n += 4 + len(s)
-		}
-	}
-	n += 1 + 1 + 8 + 8 // CacheHit + WarmStarted + Residual + Gap
-	n += 1
-	if res.Cert != nil {
-		n += 1 + 8 + 1
-		if res.Cert.Checks != nil {
-			n += 4
-			for _, c := range res.Cert.Checks {
-				n += 4 + len(c.Name) + 8 + 8 + 1
-			}
-		}
-	}
-	return n
 }
 
 func (res *Result) encodeWirePayload(w *wire.Writer) {
