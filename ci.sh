@@ -2,6 +2,8 @@
 # ci.sh — the repository's full verification gate.
 #
 # Stages:
+#   0. gofmt         — every tracked Go file is gofmt-clean; the stage
+#                      prints the offending files and fails otherwise.
 #   1. go vet        — stdlib vet checks.
 #   2. go build      — every package compiles.
 #   3. go test        — the full suite at full budget (matches the tier-1
@@ -27,7 +29,12 @@
 #                      injects seeded solver-internal corruption (bit-flips,
 #                      relative perturbations, forged convergence) into
 #                      every backend through the Tamper seam and asserts
-#                      100% certificate detection with cache quarantine.
+#                      100% certificate detection, with the next clean solve
+#                      through the same cache bit-identical to an uncached
+#                      one; internal/prob/persist_chaos_test.go corrupts
+#                      cache snapshots on disk and asserts every corruption
+#                      is counted and no solve through the damaged cache
+#                      differs from an uncached solve.
 #                      Both pin "typed status, no silently-wrong answer, no
 #                      panic" and bit-identical outcomes at RCR_WORKERS=1
 #                      vs 8, under the race detector at one and four procs.
@@ -66,8 +73,9 @@
 #   3f. qosd warm-restart smoke
 #                    — runs the qosd workload twice against one -cache-dir;
 #                      the second run must report cacheLoaded > 0, proving
-#                      the snapshot written on the first run's drain survives
-#                      a real process restart and passes recertification.
+#                      the compiled-forms snapshot written on the first run's
+#                      drain survives a real process restart and passes the
+#                      load trust boundary (checksum, decode, fingerprint).
 #   4. rcrlint       — the numerics static analyzers (internal/lint). Exits
 #                      non-zero on any finding not suppressed by a reasoned
 #                      //lint:ignore directive. This duplicates the
@@ -92,6 +100,14 @@
 #                      the compiler introduces).
 set -eu
 cd "$(dirname "$0")"
+
+echo "ci: gofmt"
+unformatted="$(gofmt -l $(git ls-files '*.go'))"
+if [ -n "$unformatted" ]; then
+	echo "ci: gofmt -l lists files that need formatting:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
 
 echo "ci: go vet"
 go vet ./...
@@ -157,13 +173,28 @@ go run ./cmd/rcrlint -escapes ./...
 
 #   5. rcrbench -check — perf regression gate: re-times the probe
 #                      registry's gated families (mat/qp/sdp kernels, qosd
-#                      service, wire codec + restart pair, dist + fan-out
-#                      pair) against the committed BENCH_post.json and fails
-#                      if any probe is slower than the 2.5x noise allowance,
-#                      a pair's self-gate trips, or any hot plan method
+#                      service, wire codec, dist + fan-out pair) against the
+#                      committed BENCH_post.json and fails if any probe is
+#                      slower than the 2.5x noise allowance, the fan-out
+#                      pair's self-gate trips, or any hot plan method
 #                      allocates. Giving back a plan-kernel speedup therefore
 #                      needs an explicit baseline recapture in the diff.
 echo "ci: rcrbench -check BENCH_post.json"
 go run ./cmd/rcrbench -check BENCH_post.json
+
+#   5b. rcrbench -baseline — the real timed capture into a scratch
+#                      directory: every registry probe (captured-only
+#                      families included), every self-gate, the hot-root
+#                      alloc probes and every quick-mode experiment must run
+#                      cleanly. The unit test of the capture plumbing runs
+#                      on a stub registry, so this stage is where the timed
+#                      capture itself is exercised.
+echo "ci: rcrbench -baseline (scratch capture)"
+bench_dir="$(mktemp -d)"
+go run ./cmd/rcrbench -baseline ci -benchdir "$bench_dir" || {
+	rm -rf "$bench_dir"
+	exit 1
+}
+rm -rf "$bench_dir"
 
 echo "ci: OK"

@@ -156,10 +156,8 @@ type statsJSON struct {
 	PanicsRecovered int64                  `json:"panicsRecovered"`
 	CacheHits       int64                  `json:"cacheHits"`
 	CacheMisses     int64                  `json:"cacheMisses"`
-	Quarantined     int64                  `json:"quarantined"`
 	CacheLoaded     int64                  `json:"cacheLoaded"`
-	CacheRecert     int64                  `json:"cacheRecertified"`
-	CacheRejected   int64                  `json:"cacheRejected"`
+	CacheCorrupt    int64                  `json:"cacheCorrupt"`
 	CacheSnapshots  int64                  `json:"cacheSnapshots"`
 	CachePersistErr int64                  `json:"cachePersistErrors"`
 	Breakers        map[string]string      `json:"breakers"`
@@ -180,9 +178,8 @@ func statsDoc(st serve.Stats) statsJSON {
 		Served: st.Served, Degraded: st.Degraded, DeadlineMissed: st.DeadlineMissed,
 		Infeasible: st.Infeasible, Canceled: st.Canceled, Uncertified: st.Uncertified,
 		Errors: st.Errors, PanicsRecovered: st.PanicsRecovered,
-		CacheHits: st.CacheHits, CacheMisses: st.CacheMisses, Quarantined: st.Quarantined,
-		CacheLoaded: st.CacheLoaded, CacheRecert: st.CacheRecertified,
-		CacheRejected: st.CacheRejected, CacheSnapshots: st.CacheSnapshots,
+		CacheHits: st.CacheHits, CacheMisses: st.CacheMisses,
+		CacheLoaded: st.CacheLoaded, CacheCorrupt: st.CacheCorrupt, CacheSnapshots: st.CacheSnapshots,
 		CachePersistErr: st.CachePersistErrors,
 		Breakers:        make(map[string]string, len(st.Breakers)), BreakerOpens: st.BreakerOpens,
 		Latency: make(map[string]latencyJSON, len(st.Latency)),

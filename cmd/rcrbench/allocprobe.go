@@ -76,7 +76,7 @@ func allocProbes(seed uint64) ([]AllocProbe, error) {
 	// reused problem must both be allocation-free (the per-entry path the
 	// persistent cache's Snapshot/Load hot loops run). Not //rcr:hot roots —
 	// this is the codec's own 0-alloc contract from DESIGN.md §15.
-	wireProblem := rraColumnIR(r, 0)
+	wireProblem := rraColumnIR()
 	wireW := wire.GetWriter()
 	defer wire.PutWriter(wireW)
 	wireProblem.EncodeWire(wireW)

@@ -65,9 +65,10 @@ type ExperimentRun struct {
 	Rows int     `json:"rows"`
 }
 
-// captureBaseline measures every registry probe and experiment and writes
-// the baseline file into dir.
-func captureBaseline(label, dir string, seed uint64) (string, error) {
+// captureBaseline measures every probe the registry builds and every
+// experiment, and writes the baseline file into dir. The command passes
+// probeRegistry; tests pass a stub registry of instant probes.
+func captureBaseline(label, dir string, seed uint64, registry func(seed uint64) ([]probe, func(), error)) (string, error) {
 	if label == "" {
 		return "", fmt.Errorf("baseline label must be non-empty")
 	}
@@ -80,7 +81,7 @@ func captureBaseline(label, dir string, seed uint64) (string, error) {
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		RCRWorkers: os.Getenv("RCR_WORKERS"),
 	}
-	probes, cleanup, err := probeRegistry(seed)
+	probes, cleanup, err := registry(seed)
 	defer cleanup()
 	if err != nil {
 		return "", err
@@ -148,8 +149,8 @@ type probe struct {
 
 // probeRegistry builds every probe a baseline records, in baseline order,
 // and marks the families -check re-times: the plan kernels, the qosd
-// service, the wire codec with its restart pair, and the distributed solve
-// with its fan-out pair. The long-stable kernel probes and the guard and
+// service, the wire codec, and the distributed solve with its fan-out
+// pair. The long-stable kernel probes and the guard and
 // prob pairs are captured only. Each family constructor returns a cleanup for
 // what its probes hold (servers, pools, temp dirs), nil when they hold
 // nothing; the returned cleanup runs them all and is always safe to call.

@@ -2,10 +2,9 @@ package main
 
 // Perf regression gate: `rcrbench -check BENCH_<label>.json` re-times the
 // probe registry's gated families — the mat/qp/sdp plan kernels, the qosd
-// service, the wire codec with its restart pair, the distributed solve with
-// its fan-out pair — against the kernel timings recorded in a committed
-// baseline, re-runs both pairs' self-gates, and re-measures the hot-root
-// alloc probes. It fails when any probe regresses past the noise
+// service, the wire codec, the distributed solve with its fan-out pair —
+// against the kernel timings recorded in a committed baseline, re-runs the
+// fan-out pair's self-gate, and re-measures the hot-root alloc probes. It fails when any probe regresses past the noise
 // allowance. This is what keeps a later PR from silently giving back the
 // plan-kernel speedups: ci.sh runs it against the committed BENCH_post.json,
 // so a regression has to either fix itself or recapture the baseline in a

@@ -7,7 +7,7 @@ package main
 // workers. The fan-out side re-checks bit-identity against the local
 // reference on every iteration, so the pair self-gates on correctness —
 // a merge that drifts from the local bits fails the baseline capture and
-// `rcrbench -check` outright, the same contract as the cache restart pair.
+// `rcrbench -check` outright, as a qosd_urllc_p99 tail past its bound does.
 //
 // The speed side of the gate is core-aware. Fan-out buys wall time only
 // when cells can actually solve concurrently, so with GOMAXPROCS > 1 the

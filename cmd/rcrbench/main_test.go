@@ -32,21 +32,51 @@ func TestRunUnknownExp(t *testing.T) {
 	}
 }
 
+// stubRegistry stands in for probeRegistry in the capture-plumbing tests:
+// instant probes, one of them a self-gating pair, so the tests exercise
+// capture without timing real work (ci.sh runs the real capture).
+func stubRegistry(gateRan, cleaned *bool) func(uint64) ([]probe, func(), error) {
+	ok := func() error { return nil }
+	return func(uint64) ([]probe, func(), error) {
+		return []probe{
+			{name: "stub_single", size: 1, fn: ok},
+			{name: "stub_cold", nameB: "stub_warm", size: 2, fn: ok, fnB: ok,
+				gate: func(nsA, nsB float64) error {
+					*gateRan = true
+					return nil
+				}},
+		}, func() { *cleaned = true }, nil
+	}
+}
+
 func TestBaselineRejectsEmptyLabelViaCapture(t *testing.T) {
-	if _, err := captureBaseline("", t.TempDir(), 1); err == nil {
+	var gateRan, cleaned bool
+	if _, err := captureBaseline("", t.TempDir(), 1, stubRegistry(&gateRan, &cleaned)); err == nil {
 		t.Fatal("want error for empty baseline label")
 	}
 }
 
+// TestBaselineWritesSnapshot pins the capture plumbing — registry in,
+// self-gates applied, cleanup run, schema out — on a stub registry. The
+// timed capture of the real registry, with every self-gate, is a ci.sh
+// stage.
 func TestBaselineWritesSnapshot(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping baseline capture in -short mode")
 	}
 	dir := t.TempDir()
-	if err := run([]string{"-baseline", "testlbl", "-benchdir", dir}); err != nil {
+	var gateRan, cleaned bool
+	path, err := captureBaseline("testlbl", dir, 1, stubRegistry(&gateRan, &cleaned))
+	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(filepath.Join(dir, "BENCH_testlbl.json"))
+	if path != filepath.Join(dir, "BENCH_testlbl.json") {
+		t.Fatalf("baseline written to %s", path)
+	}
+	if !gateRan || !cleaned {
+		t.Fatalf("gate ran %v, cleanup ran %v; want both", gateRan, cleaned)
+	}
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,8 +87,12 @@ func TestBaselineWritesSnapshot(t *testing.T) {
 	if b.Label != "testlbl" || b.GOMAXPROCS < 1 {
 		t.Fatalf("bad metadata: %+v", b)
 	}
-	if len(b.Kernels) == 0 {
-		t.Fatal("no kernel timings captured")
+	var keys []string
+	for _, k := range b.Kernels {
+		keys = append(keys, k.key())
+	}
+	if want := []string{"stub_single/1", "stub_cold/2", "stub_warm/2"}; !reflect.DeepEqual(keys, want) {
+		t.Fatalf("kernel keys %v, want %v", keys, want)
 	}
 	for _, k := range b.Kernels {
 		if k.Iters <= 0 || k.NsPerOp <= 0 {
@@ -155,7 +189,6 @@ func TestProbeRegistryKeys(t *testing.T) {
 		"qp_barrier_iter/40", "sdp_admm_iter/24",
 		"qosd_throughput/8", "qosd_urllc_p99/5", "qosd_shed_latency/1",
 		"wire_encode/16", "wire_decode/16",
-		"cache_cold_solve/16", "cache_warm_restart/16",
 		"dist_dead_worker_recovery/3", "dist_local_solve/3", "dist_fanout_4w/3",
 	}
 	if !reflect.DeepEqual(checked, gated) {
@@ -163,16 +196,18 @@ func TestProbeRegistryKeys(t *testing.T) {
 	}
 }
 
-// TestCaptureFailsOnBrokenProbe: a failing probe of any kind fails the
-// capture instead of entering the baseline as a zero timing that -check
-// would skip.
+// TestCaptureFailsOnBrokenProbe: a failing probe of any kind, or a tripped
+// self-gate, fails the capture instead of entering the baseline as a zero
+// timing that -check would skip.
 func TestCaptureFailsOnBrokenProbe(t *testing.T) {
 	ok := func() error { return nil }
 	broken := func() error { return errors.New("probe broke") }
+	tripped := func(nsA, nsB float64) error { return errors.New("broken gate") }
 	for name, table := range map[string][]probe{
 		"single":      {{name: "fine", size: 1, fn: ok}, {name: "broken", size: 1, fn: broken}},
 		"pair side A": {{name: "broken", nameB: "fine", size: 1, fn: broken, fnB: ok}},
 		"pair side B": {{name: "fine", nameB: "broken", size: 1, fn: ok, fnB: broken}},
+		"pair gate":   {{name: "fine", nameB: "fine_b", size: 1, fn: ok, fnB: ok, gate: tripped}},
 	} {
 		timings, err := captureProbes(table)
 		if err == nil || !strings.Contains(err.Error(), "broken") {

@@ -10,9 +10,6 @@ package main
 //	prob_solve_uncached / prob_solve_cached — repeated bit-identical
 //	  same-shape solves, re-lowered every call vs reusing the compiled
 //	  backend form verbatim (Result.CacheHit).
-//	prob_resolve_cold / prob_resolve_warm — same-shape re-solves with
-//	  perturbed coefficients, from scratch vs seeded from the cached
-//	  incumbent (Result.WarmStarted).
 //	prob_solve_certified / prob_solve_uncertified — the same solve with the
 //	  a-posteriori certifier armed (the default) vs disabled; the ratio is
 //	  the certificate's overhead on an honest converged solve, which the
@@ -23,15 +20,13 @@ import (
 
 	"repro/internal/guard"
 	"repro/internal/prob"
-	"repro/internal/rng"
 )
 
 // rraColumnIR builds a synthetic column-selection MILP shaped like the qos
 // RRA model — binary columns, one-per-RB rows, per-user power and min-rate
 // rows — sized to solve in well under a millisecond so the probes measure
-// registry overhead, not branch-and-bound search. jitter perturbs the rate
-// coefficients (content) without touching the structure (shape).
-func rraColumnIR(r *rng.Rand, jitter float64) *prob.Problem {
+// registry overhead, not branch-and-bound search.
+func rraColumnIR() *prob.Problem {
 	const (
 		nU, nRB, nL = 2, 4, 2
 		budgetW     = 0.5
@@ -50,7 +45,7 @@ func rraColumnIR(r *rng.Rand, jitter float64) *prob.Problem {
 		for rb := 0; rb < nRB; rb++ {
 			for l := 0; l < nL; l++ {
 				i := idx(u, rb, l)
-				ir.Obj.Lin[i] = (1 + float64(l)) * (1 + jitter*r.Float64())
+				ir.Obj.Lin[i] = 1 + float64(l)
 				ir.Hi[i] = 1
 				ir.Integer[i] = i
 			}
@@ -83,8 +78,8 @@ func rraColumnIR(r *rng.Rand, jitter float64) *prob.Problem {
 }
 
 // probPairs builds the IR-layer probe pairs.
-func probPairs(seed uint64) ([]probe, func(), error) {
-	fixed := rraColumnIR(rng.New(seed+2), 0)
+func probPairs(uint64) ([]probe, func(), error) {
+	fixed := rraColumnIR()
 	n := fixed.NumVars
 
 	solved := func(res *prob.Result, err error) error {
@@ -121,20 +116,6 @@ func probPairs(seed uint64) ([]probe, func(), error) {
 		return solved(prob.Solve(fixed, prob.Options{Cache: hitCache}))
 	}
 
-	// Same-shape re-solves with perturbed coefficients: cold starts BnB from
-	// nothing, warm seeds it with the previous (re-verified) incumbent. Both
-	// sides draw from identically seeded perturbation streams so they solve
-	// the same instance sequence.
-	warmCache := prob.NewCache()
-	coldRNG := rng.New(seed + 3)
-	warmRNG := rng.New(seed + 3)
-	coldSide := func() error {
-		return solved(prob.Solve(rraColumnIR(coldRNG, 0.01), prob.Options{}))
-	}
-	warmSide := func() error {
-		return solved(prob.Solve(rraColumnIR(warmRNG, 0.01), prob.Options{Cache: warmCache}))
-	}
-
 	// Certifier overhead on a clean converged solve: side A runs the default
 	// armed certificate (feasibility residuals + objective/gap/bound checks),
 	// side B disables it — the one legitimate use of CertConfig.Disable.
@@ -148,7 +129,6 @@ func probPairs(seed uint64) ([]probe, func(), error) {
 	return []probe{
 		{name: "prob_milp_compile", nameB: "prob_milp_fingerprint", size: n, fn: compileSide, fnB: fingerprintSide},
 		{name: "prob_solve_uncached", nameB: "prob_solve_cached", size: n, fn: uncachedSide, fnB: cachedSide},
-		{name: "prob_resolve_cold", nameB: "prob_resolve_warm", size: n, fn: coldSide, fnB: warmSide},
 		{name: "prob_solve_certified", nameB: "prob_solve_uncertified", size: n, fn: certifiedSide, fnB: uncertifiedSide},
 	}, nil, nil
 }

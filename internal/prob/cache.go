@@ -9,10 +9,8 @@ import (
 )
 
 // This file implements the structural-fingerprint cache: repeated solves of
-// same-shape problems — the qos.SolveRobust ladder sharing one column model
-// across rungs, batch RRA instances, PSO objective evaluations — reuse
-// lowered/compiled forms when the coefficients are identical and warm-start
-// the backend from the previous solution when only the coefficients changed.
+// a content-identical problem — qosd's repeat traffic, a warm-restarted
+// service — reuse the lowered/compiled form instead of lowering again.
 
 // Fingerprint identifies a Problem at two precisions. Shape hashes only the
 // structure — dimensions, sparsity bookkeeping (row lengths, senses, bound
@@ -156,36 +154,25 @@ func boolWord(b bool) uint64 {
 // over distinct shapes proceed without serializing on one lock.
 const cacheShards = 16
 
-// Cache memoizes lowered/compiled forms and prior solutions keyed by
-// structural fingerprint. It is safe for concurrent use and sharded by
-// shape fingerprint (per-shard mutexes instead of one lock), so concurrent
-// service traffic — qosd workers solving many cells at once — doesn't
-// serialize on cache lookups; entries are immutable once stored, so readers
-// never observe partial updates.
+// Cache memoizes lowered/compiled forms keyed by structural fingerprint. It
+// is safe for concurrent use and sharded by shape fingerprint (per-shard
+// mutexes instead of one lock), so concurrent service traffic — qosd
+// workers solving many cells at once — doesn't serialize on cache lookups;
+// entries are immutable once stored, so readers never observe partial
+// updates.
 //
-// The contract, enforced by Solve:
-//   - equal Shape and equal Content → the compiled backend problem is reused
-//     verbatim (Result.CacheHit), skipping lowering and compilation;
-//   - equal Shape, different Content → the problem is re-lowered, but the
-//     previous backend-space solution seeds the new solve (Result.WarmStarted)
-//     after a feasibility check appropriate to the backend: a MILP incumbent
-//     must be verified feasible for the new instance (a wrong incumbent would
-//     prune the true optimum), a QP start must be strictly feasible (the
-//     barrier requires it), while an SDP seed needs no check (ADMM converges
-//     from any start);
-//   - a cached solution that fails its warm-start check — or whose own solve
-//     later fails the a-posteriori certificate — is quarantined: evicted
-//     once (CacheStats.Quarantined) instead of being re-checked or reused on
-//     every subsequent same-shape lookup.
+// The contract, enforced by Solve: equal Shape and equal Content → the
+// compiled backend problem is reused verbatim (Result.CacheHit), skipping
+// lowering and compilation. Nothing else is shared: the cache holds no
+// solutions, so no solve is ever seeded by another solve's answer, and a
+// cached solve is bit-identical to an uncached one whatever ran through the
+// cache before it. The compiled form is a pure function of the problem, so a
+// bad solve cannot poison it.
 type Cache struct {
 	shards [cacheShards]cacheShard
-	// noWarm, when set (DisableWarmStarts), stores compiled forms only:
-	// solutions are dropped at store time, so no solve is ever seeded by
-	// another request's incumbent.
-	noWarm atomic.Bool
 	// Effectiveness counters live outside the shard locks so Stats never
 	// takes all sixteen mutexes and record() never contends with lookups.
-	hits, misses, warmStarts, quarantined atomic.Int64
+	hits, misses atomic.Int64
 }
 
 // cacheShard is one lock-striped slice of the fingerprint map.
@@ -207,14 +194,8 @@ type cacheEntry struct {
 	// orig is a private clone of the problem whose solve produced this
 	// entry. Lowered forms hold recovery closures and cannot travel, so
 	// persistence (persist.go) snapshots orig instead and re-lowers it
-	// deterministically at load. Nil for entries that predate a snapshot
-	// (for example quarantine replacements of loaded-but-rejected state).
+	// deterministically at load.
 	orig *Problem
-	// x / xMat are the backend-space solution of the previous solve (before
-	// recovery lifting), so their dimensions match the lowered problem that
-	// a same-shape instance compiles to.
-	x    []float64
-	xMat *mat.Matrix
 }
 
 // CacheStats reports cache effectiveness counters.
@@ -223,14 +204,6 @@ type CacheStats struct {
 	Hits int
 	// Misses counts solves that lowered and compiled from scratch.
 	Misses int
-	// WarmStarts counts solves seeded from a previous solution.
-	WarmStarts int
-	// Quarantined counts cached solutions evicted because they failed
-	// warm-start re-verification or an a-posteriori certificate. Each
-	// eviction is counted once: the compiled form stays cached, but the
-	// poisoned solution is gone, so it is never re-checked (or worse,
-	// reused) on later same-shape lookups.
-	Quarantined int
 }
 
 // NewCache returns an empty cache.
@@ -242,35 +215,19 @@ func NewCache() *Cache {
 	return c
 }
 
-// DisableWarmStarts switches the cache to compiled-forms-only mode: store
-// drops solutions, so later solves reuse lowerings and compiled backend
-// problems (the expensive part) but are never seeded by another solve's
-// incumbent. This is the mode qosd serves traffic in — a warm start from a
-// tied-optimum neighbor could steer branch and bound to a different (equally
-// optimal) vertex depending on request interleaving, and the service promises
-// bit-identical allocations for identical request+seed regardless of worker
-// count or arrival order. Nil-safe; call before sharing the cache or at any
-// point after (already-stored solutions are evicted lazily by the next store
-// of their shape, and existing entries remain safe: warm starts are always
-// re-verified). Returns the cache for chaining.
-func (c *Cache) DisableWarmStarts() *Cache {
-	if c != nil {
-		c.noWarm.Store(true)
-	}
-	return c
-}
+// DisableWarmStarts is a no-op kept for source compatibility: the cache
+// stores compiled forms only, so there are no warm starts to disable.
+// Returns c.
+//
+// Deprecated: the cache never warm-starts; drop the call.
+func (c *Cache) DisableWarmStarts() *Cache { return c }
 
 // Stats returns a snapshot of the counters. Nil-safe.
 func (c *Cache) Stats() CacheStats {
 	if c == nil {
 		return CacheStats{}
 	}
-	return CacheStats{
-		Hits:        int(c.hits.Load()),
-		Misses:      int(c.misses.Load()),
-		WarmStarts:  int(c.warmStarts.Load()),
-		Quarantined: int(c.quarantined.Load()),
-	}
+	return CacheStats{Hits: int(c.hits.Load()), Misses: int(c.misses.Load())}
 }
 
 // lookup returns the entry for a shape, or nil. Nil-safe.
@@ -284,56 +241,22 @@ func (c *Cache) lookup(shape uint64) *cacheEntry {
 	return s.entries[shape]
 }
 
-// store records the problem, its lowered form, and the backend-space
-// solution for a shape, replacing (never mutating) any previous entry. The
-// problem is cloned so later caller mutations cannot leak into the cache or
-// its snapshots. In forms-only mode (DisableWarmStarts) the solution is
-// dropped and only the lowering is kept. Nil-safe.
-func (c *Cache) store(p *Problem, fp Fingerprint, low *loweredForm, x []float64, xMat *mat.Matrix) {
+// store records the problem and its lowered form for a shape, replacing
+// (never mutating) any previous entry. The problem is cloned so later
+// caller mutations cannot leak into the cache or its snapshots. Nil-safe.
+func (c *Cache) store(p *Problem, fp Fingerprint, low *loweredForm) {
 	if c == nil {
 		return
 	}
-	if c.noWarm.Load() {
-		x, xMat = nil, nil
-	}
-	var orig *Problem
-	if p != nil {
-		orig = p.Clone()
-	}
+	orig := p.Clone()
 	s := c.shard(fp.Shape)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.entries[fp.Shape] = &cacheEntry{content: fp.Content, low: low, orig: orig, x: x, xMat: xMat}
-}
-
-// quarantine evicts the cached solution for a shape — after a warm-start
-// re-verification failure or a failed certificate — while keeping the
-// compiled lowered form (the form is a function of the problem, not of any
-// solver run, so it cannot be poisoned by a bad solve). It reports whether
-// a solution was actually evicted; the Quarantined counter advances only
-// then, so repeated same-shape failures count once per poisoned solution.
-// Nil-safe.
-func (c *Cache) quarantine(shape uint64) bool {
-	if c == nil {
-		return false
-	}
-	s := c.shard(shape)
-	s.mu.Lock()
-	ent := s.entries[shape]
-	if ent == nil || (ent.x == nil && ent.xMat == nil) {
-		s.mu.Unlock()
-		return false
-	}
-	// Entries are immutable once stored (readers hold them outside the
-	// lock), so eviction replaces the entry rather than clearing fields.
-	s.entries[shape] = &cacheEntry{content: ent.content, low: ent.low, orig: ent.orig}
-	s.mu.Unlock()
-	c.quarantined.Add(1)
-	return true
+	s.entries[fp.Shape] = &cacheEntry{content: fp.Content, low: low, orig: orig}
 }
 
 // record updates the effectiveness counters for one solve. Nil-safe.
-func (c *Cache) record(hit, warm bool) {
+func (c *Cache) record(hit bool) {
 	if c == nil {
 		return
 	}
@@ -341,8 +264,5 @@ func (c *Cache) record(hit, warm bool) {
 		c.hits.Add(1)
 	} else {
 		c.misses.Add(1)
-	}
-	if warm {
-		c.warmStarts.Add(1)
 	}
 }

@@ -22,9 +22,8 @@ import (
 )
 
 // CertConfig configures the a-posteriori certifier. The zero value arms it:
-// certification is the default because an unchecked answer poisons the
-// cache, every warm start seeded from it, and every downstream QoS
-// decision. Disable exists for measurement (rcrbench certified-vs-
+// certification is the default because an unchecked answer poisons every
+// downstream QoS decision. Disable exists for measurement (rcrbench certified-vs-
 // uncertified pairs), not for production call sites.
 type CertConfig struct {
 	// Disable turns certification (and with it the escalation ladder) off.
@@ -299,8 +298,8 @@ func (p *Problem) residualAt(x []float64) float64 {
 }
 
 // escalated derives the options for escalation rung r of the ladder. Every
-// rung solves from scratch (no caller or cache warm start — the point of
-// the ladder is independence from whatever produced the failure). Rung 1
+// rung solves from scratch (no caller-supplied start — the point of the
+// ladder is independence from whatever produced the failure). Rung 1
 // tightens the backend tolerances one decade; later rungs additionally
 // perturb the solver trajectory where a backend has a seam for it (barrier
 // weight, ADMM penalty), seeded from the problem's content fingerprint so

@@ -106,22 +106,20 @@ func TestCertifyRejectsKnownInfeasible(t *testing.T) {
 	if !trailHas(res, "cert:fail(") || !trailHas(res, "cert:retry(1)") || !trailHas(res, "cert:retry(2)") {
 		t.Fatalf("trail missing certificate provenance: %v", res.Trail)
 	}
-	// The cached solution that shares the failure's provenance is gone.
-	if st := cache.Stats(); st.Quarantined == 0 {
-		t.Fatalf("stats = %+v, want a quarantine", st)
-	}
-	// And the poisoned answer was never stored: the next same-shape solve
-	// gets no warm start from it.
+	// The poisoned answer left nothing behind: the next clean solve through
+	// the same cache equals an uncached one.
 	clean, err := prob.Solve(knapsackIR([]float64{10, 13, 6}), prob.Options{Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if clean.WarmStarted {
-		t.Fatal("solve after certificate failure warm-started from a poisoned entry")
-	}
 	if clean.Status != guard.StatusConverged || math.Abs(clean.Objective-19) > 1e-9 {
 		t.Fatalf("recovery solve: status %v obj %g, want Converged 19", clean.Status, clean.Objective)
 	}
+	uncached, err := prob.Solve(knapsackIR([]float64{10, 13, 6}), prob.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameAnswer(t, "recovery solve", clean, uncached)
 }
 
 // TestCertifyToleranceBoundary nudges an optimal LP vertex by amounts on

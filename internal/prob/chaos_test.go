@@ -10,9 +10,10 @@ package prob_test
 // corruption, is:
 //
 //	the corruption is detected (certificate verdict fail recorded in the
-//	Trail) · the poisoned cache entry is quarantined · the final result is
-//	either typed-degraded or a certified pass whose objective matches the
-//	clean reference — a silently-wrong answer is never accepted
+//	Trail) · the final result is either typed-degraded or a certified pass
+//	whose objective matches the clean reference — a silently-wrong answer
+//	is never accepted · the next clean solve through the same cache is
+//	bit-identical to an uncached one
 //
 // and, because injection is keyed off solution bits (never call order or
 // wall-clock), the full outcome matrix is bit-identical at RCR_WORKERS=1
@@ -130,18 +131,16 @@ func chaosTamper(plan faultinject.Plan, fired *bool) func(*prob.Result) {
 // chaosOutcome is the bit-exact summary of one injected run, compared
 // verbatim across worker counts.
 type chaosOutcome struct {
-	Case        string
-	Fired       bool
-	NilResult   bool
-	Err         string
-	Status      guard.Status
-	Verdict     string
-	Retries     int
-	Objective   uint64 // Float64bits: "identical" here means identical
-	Residual    uint64
-	Trail       []string
-	Quarantined int
-	WarmStarted bool
+	Case      string
+	Fired     bool
+	NilResult bool
+	Err       string
+	Status    guard.Status
+	Verdict   string
+	Retries   int
+	Objective uint64 // Float64bits: "identical" here means identical
+	Residual  uint64
+	Trail     []string
 }
 
 // runChaosMatrix executes every fixture × corruption mode, asserting the
@@ -172,12 +171,12 @@ func runChaosMatrix(t *testing.T) []chaosOutcome {
 			opts := fx.opts()
 			var cache *prob.Cache
 			if mode == faultinject.CorruptPremature {
-				// Forged convergence needs a genuinely interrupted run; no
-				// cache, so no warm start quietly completes it.
+				// Forged convergence needs a genuinely interrupted run.
 				fx.interrupt(&opts)
 			} else {
-				// Pre-warm a cache with a certified solution so the
-				// corruption also exercises the quarantine path.
+				// Pre-warm a cache with a certified solve so the corrupted
+				// solve runs on a cache hit, and the clean solve after it
+				// shows whether the corruption left anything behind.
 				cache = prob.NewCache()
 				warm := fx.opts()
 				warm.Cache = cache
@@ -190,7 +189,7 @@ func runChaosMatrix(t *testing.T) []chaosOutcome {
 			opts.Tamper = chaosTamper(plan, &fired)
 			res, err := prob.Solve(fx.make(t), opts)
 
-			oc := chaosOutcome{Case: label, Fired: fired, Quarantined: cache.Stats().Quarantined}
+			oc := chaosOutcome{Case: label, Fired: fired}
 			if err != nil {
 				oc.Err = err.Error()
 			}
@@ -204,7 +203,6 @@ func runChaosMatrix(t *testing.T) []chaosOutcome {
 				oc.Objective = math.Float64bits(res.Objective)
 				oc.Residual = math.Float64bits(res.Residual)
 				oc.Trail = res.Trail
-				oc.WarmStarted = res.WarmStarted
 				if res.Cert != nil {
 					oc.Verdict = res.Cert.String()
 					oc.Retries = res.Cert.Retries
@@ -232,8 +230,8 @@ func runChaosMatrix(t *testing.T) []chaosOutcome {
 				t.Errorf("%s: degraded result returned nil error", label)
 			}
 			// Vector corruption at rate 1 poisons every escalation rung too:
-			// the ladder must exhaust, record its verdict, and quarantine the
-			// pre-warmed cache entry.
+			// the ladder must exhaust and record its verdict, and the cache
+			// must come out of it unchanged.
 			if mode != faultinject.CorruptPremature {
 				if res == nil || res.Cert == nil || res.Cert.Verdict != cert.VerdictFail {
 					t.Errorf("%s: rate-1 corruption not detected: %+v", label, res)
@@ -245,9 +243,14 @@ func runChaosMatrix(t *testing.T) []chaosOutcome {
 				if res.Status == guard.StatusConverged || res.Status == guard.StatusOK {
 					t.Errorf("%s: detected corruption left status %v", label, res.Status)
 				}
-				if st := cache.Stats(); st.Quarantined == 0 {
-					t.Errorf("%s: poisoned cache entry not quarantined: %+v", label, st)
+				after := fx.opts()
+				after.Cache = cache
+				clean, err := prob.Solve(fx.make(t), after)
+				if err != nil {
+					t.Errorf("%s: clean solve after corruption: %v", label, err)
+					continue
 				}
+				sameAnswer(t, label+" clean solve after corruption", clean, ref)
 			}
 		}
 	}
@@ -256,7 +259,7 @@ func runChaosMatrix(t *testing.T) []chaosOutcome {
 
 // TestChaosSoak runs the full corruption matrix at RCR_WORKERS=1 and 8 and
 // requires bit-identical outcomes: statuses, verdicts, trails, objective and
-// residual bit patterns, quarantine counters.
+// residual bit patterns.
 func TestChaosSoak(t *testing.T) {
 	t.Setenv(par.EnvWorkers, "1")
 	serial := runChaosMatrix(t)

@@ -337,4 +337,3 @@ func ToSDP(p *Problem) (*Problem, *Recovery, error) {
 	q.Matrix.C = mat.Identity(q.Matrix.Dim)
 	return q, &Recovery{Pass: "to-sdp"}, nil
 }
-

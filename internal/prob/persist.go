@@ -3,17 +3,19 @@
 // rename writes; Load restores them with a layered trust boundary. Lowered
 // forms hold recovery closures and cannot travel, so an entry snapshots the
 // original Problem instead and Load re-lowers it deterministically — the
-// compiled form is a pure function of the problem, so a loaded warm start
-// is bit-identical to the in-memory one it was saved from.
+// compiled form is a pure function of the problem, so a loaded form is
+// bit-identical to the in-memory one it was saved from.
 //
-// Nothing loaded from disk is trusted until it proves itself, in four
+// Nothing loaded from disk is trusted until it proves itself, in three
 // layers: the frame checksum (integrity), typed structural decode
-// (structure), the re-fingerprint of the decoded problem against both the
-// problem frame and the entry header (identity), and — for incumbents — a
-// re-certification against the freshly re-lowered IR (semantics), reusing
-// the PR 5 quarantine rule: a solution that fails is dropped on the spot
-// and counted, while the re-lowered form (unpoisonable) is kept. A corrupt
-// entry is skipped and counted without aborting the rest of its shard.
+// (structure), and the re-fingerprint of the decoded problem against both
+// the problem frame and the entry header (identity). A corrupt entry is
+// skipped and counted without aborting the rest of its shard.
+//
+// Wire Version 1 entry frames carry two incumbent slots after the problem
+// (a vector and a matrix). Snapshot writes them empty; Load reads and drops
+// whatever they hold, so snapshots that still carry incumbents load as
+// forms.
 
 package prob
 
@@ -21,14 +23,10 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
 
-	"repro/internal/cert"
-	"repro/internal/guard"
-	"repro/internal/mat"
 	"repro/internal/wire"
 )
 
@@ -36,8 +34,6 @@ import (
 type SnapshotStats struct {
 	// Entries counts cache entries written across all shard files.
 	Entries int
-	// Incumbents counts entries whose solution traveled with them.
-	Incumbents int
 }
 
 // LoadStats reports what one Load restored and what it refused.
@@ -46,13 +42,6 @@ type LoadStats struct {
 	Files int
 	// Entries counts entries that decoded cleanly and were inserted.
 	Entries int
-	// Recertified counts loaded incumbents that re-passed certification
-	// against their re-lowered problem and were kept as warm starts.
-	Recertified int
-	// Rejected counts loaded incumbents dropped at the trust boundary:
-	// the entry itself was sound, but its solution failed re-certification
-	// and was quarantined (form kept, solution gone).
-	Rejected int
 	// Corrupt counts entries skipped entirely: checksum mismatch, version
 	// skew, structural decode failure, or fingerprint drift.
 	Corrupt int
@@ -66,8 +55,7 @@ func snapshotFile(dir string, shard int) string {
 // Snapshot writes the cache's full state to dir, one file per shard,
 // creating dir if needed. Each file is written to a temporary name and
 // atomically renamed into place, so a crash mid-snapshot leaves the
-// previous snapshot intact. Entries stored before this feature (or whose
-// problem was unavailable) are skipped. Nil-safe.
+// previous snapshot intact. Nil-safe.
 func (c *Cache) Snapshot(dir string) (SnapshotStats, error) {
 	var st SnapshotStats
 	if c == nil {
@@ -102,13 +90,10 @@ func (c *Cache) Snapshot(dir string) (SnapshotStats, error) {
 		for _, it := range items {
 			start := w.BeginFrame(wire.Header{Kind: wire.KindCacheEntry, Shape: it.shape, Content: it.ent.content})
 			it.ent.orig.EncodeWire(w)
-			w.F64s(it.ent.x)
-			writeWireMatrix(w, it.ent.xMat)
+			w.F64s(nil)             // incumbent vector slot, always empty
+			writeWireMatrix(w, nil) // incumbent matrix slot, always empty
 			w.EndFrame(start)
 			st.Entries++
-			if it.ent.x != nil || it.ent.xMat != nil {
-				st.Incumbents++
-			}
 		}
 
 		path := snapshotFile(dir, i)
@@ -125,11 +110,7 @@ func (c *Cache) Snapshot(dir string) (SnapshotStats, error) {
 
 // Load restores a Snapshot from dir into the cache. A missing directory is
 // an empty snapshot, not an error. Already-cached shapes are never
-// overwritten (live state wins over disk). Every loaded incumbent is
-// re-certified against its re-lowered problem before it may seed a warm
-// start; failures are quarantined exactly like a poisoned live entry. In
-// forms-only mode (DisableWarmStarts) incumbents are dropped at load
-// without touching the recertified/rejected counters. Nil-safe.
+// overwritten (live state wins over disk). Nil-safe.
 func (c *Cache) Load(dir string) (LoadStats, error) {
 	var st LoadStats
 	if c == nil {
@@ -184,9 +165,7 @@ func (c *Cache) loadShardFile(shard int, data []byte, st *LoadStats) {
 }
 
 // loadEntry decodes, verifies, re-lowers, and (if trusted) inserts one
-// entry frame, reporting whether the entry was structurally sound. A sound
-// entry whose incumbent fails re-certification still loads — minus its
-// solution — mirroring quarantine.
+// entry frame, reporting whether the entry was structurally sound.
 func (c *Cache) loadEntry(frame []byte, st *LoadStats) bool {
 	h, payload, err := wire.OpenFrame(frame)
 	if err != nil || h.Kind != wire.KindCacheEntry {
@@ -201,8 +180,9 @@ func (c *Cache) loadEntry(frame []byte, st *LoadStats) bool {
 	if err != nil {
 		return false
 	}
-	x := r.F64s(nil)
-	xMat := readWireMatrix(&r, nil)
+	// The incumbent slots are decoded for framing only and dropped.
+	r.F64s(nil)
+	readWireMatrix(&r, nil)
 	if r.Err() != nil || r.Remaining() != 0 {
 		return false
 	}
@@ -217,78 +197,11 @@ func (c *Cache) loadEntry(frame []byte, st *LoadStats) bool {
 		return false
 	}
 	st.Entries++
-	if c.noWarm.Load() {
-		x, xMat = nil, nil
-	} else if x != nil || xMat != nil {
-		if recertifyLoaded(low, x, xMat) {
-			st.Recertified++
-		} else {
-			x, xMat = nil, nil
-			st.Rejected++
-			c.quarantined.Add(1)
-		}
-	}
 	s := c.shard(h.Shape)
 	s.mu.Lock()
 	if _, live := s.entries[h.Shape]; !live {
-		s.entries[h.Shape] = &cacheEntry{content: h.Content, low: low, orig: orig, x: x, xMat: xMat}
+		s.entries[h.Shape] = &cacheEntry{content: h.Content, low: low, orig: orig}
 	}
 	s.mu.Unlock()
-	return true
-}
-
-// recertifyLoaded re-runs the load-time slice of the PR 5 certificate on a
-// deserialized incumbent against its freshly re-lowered form: structural
-// sanity, recomputed primal residuals, integrality, and (for SDP) PSD
-// membership, all at the certifier's default tolerances. Objective and
-// dual-gap checks need the original backend run and re-run at first use
-// instead (warm starts are always re-verified by dispatch).
-func recertifyLoaded(low *loweredForm, x []float64, xMat *mat.Matrix) bool {
-	tol := cert.Tolerances{}.WithDefaults()
-	if low.backend == "sdp" {
-		sp := low.sdp
-		X := xMat
-		if x != nil || X == nil || X.Rows != X.Cols || X.Rows != sp.C.Rows || !guard.AllFinite(X.Data) {
-			return false
-		}
-		// Mirrors certifySDP's primal/psd scaling at the default ADMM
-		// tolerance (there is no Options at load time).
-		feasTol := tol.Feas + 100*1e-7
-		var worst float64
-		for i, a := range sp.A {
-			var v float64
-			for k := range a.Data {
-				v += a.Data[k] * X.Data[k]
-			}
-			if r := math.Abs(v-sp.B[i]) / (1 + math.Abs(sp.B[i])); r > worst {
-				worst = r
-			}
-		}
-		if worst > feasTol {
-			return false
-		}
-		var maxAbs float64
-		for _, v := range X.Data {
-			if a := math.Abs(v); a > maxAbs {
-				maxAbs = a
-			}
-		}
-		lo, err := mat.MinEigenvalue(X.Clone().Symmetrize())
-		if err != nil {
-			return false
-		}
-		return math.Max(0, -lo)/(1+maxAbs) <= feasTol
-	}
-	if xMat != nil || x == nil || len(x) != low.final.NumVars || !guard.AllFinite(x) {
-		return false
-	}
-	if low.final.residualAt(x) > tol.Feas {
-		return false
-	}
-	for _, j := range low.final.Integer {
-		if math.Abs(x[j]-math.Round(x[j])) > tol.Int {
-			return false
-		}
-	}
 	return true
 }

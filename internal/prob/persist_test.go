@@ -4,12 +4,12 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"repro/internal/guard"
 	"repro/internal/par"
 	"repro/internal/prob"
+	"repro/internal/wire"
 )
 
 // solveAll solves every problem through one cache and asserts convergence.
@@ -44,9 +44,6 @@ func TestCacheSnapshotLoadRoundTrip(t *testing.T) {
 		// by shape, so the snapshot carries the latest entry.
 		t.Fatalf("snapshot wrote %d entries, want 1 (single shape)", snap.Entries)
 	}
-	if snap.Incumbents != 1 {
-		t.Fatalf("snapshot carried %d incumbents, want 1", snap.Incumbents)
-	}
 	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) != 0 {
 		t.Fatalf("atomic rename left temp files: %v", tmps)
 	}
@@ -56,7 +53,7 @@ func TestCacheSnapshotLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := prob.LoadStats{Files: 16, Entries: 1, Recertified: 1}
+	want := prob.LoadStats{Files: 16, Entries: 1}
 	if st != want {
 		t.Fatalf("LoadStats = %+v, want %+v", st, want)
 	}
@@ -75,39 +72,21 @@ func TestCacheSnapshotLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertBitIdentical(t, fromDisk, inMem)
+	sameAnswer(t, "restored vs in-memory", fromDisk, inMem)
 }
 
-// assertBitIdentical compares the externally visible solve outcome bitwise.
-func assertBitIdentical(t *testing.T, a, b *prob.Result) {
-	t.Helper()
-	if !reflect.DeepEqual(a.X, b.X) {
-		t.Errorf("X diverges:\n a: %v\n b: %v", a.X, b.X)
-	}
-	if math.Float64bits(a.Objective) != math.Float64bits(b.Objective) {
-		t.Errorf("objective bits diverge: %x vs %x", math.Float64bits(a.Objective), math.Float64bits(b.Objective))
-	}
-	if a.Status != b.Status || a.Backend != b.Backend {
-		t.Errorf("status/backend diverge: %v/%s vs %v/%s", a.Status, a.Backend, b.Status, b.Backend)
-	}
-	if !reflect.DeepEqual(a.Trail, b.Trail) {
-		t.Errorf("trails diverge:\n a: %v\n b: %v", a.Trail, b.Trail)
-	}
-}
-
-// TestLoadedWarmStartBitIdentical is the acceptance pin: a same-shape,
-// new-content re-solve seeded by a disk-loaded incumbent is bit-identical
-// to one seeded by the in-memory incumbent it was saved from, at
-// RCR_WORKERS=1 and 8.
+// TestLoadedWarmStartBitIdentical is the acceptance pin for restored
+// caches: a same-shape, new-content solve through a disk-loaded cache is
+// bit-identical to one through the in-memory cache it was saved from, and
+// to an uncached solve, at RCR_WORKERS=1 and 8.
 func TestLoadedWarmStartBitIdentical(t *testing.T) {
 	for _, workers := range []string{"1", "8"} {
 		t.Run("workers="+workers, func(t *testing.T) {
 			t.Setenv(par.EnvWorkers, workers)
 			dir := t.TempDir()
-			seedProb := wireMILP(21, 0.25)
 
 			inMem := prob.NewCache()
-			solveAll(t, inMem, []*prob.Problem{seedProb})
+			solveAll(t, inMem, []*prob.Problem{wireMILP(21, 0.25)})
 			if _, err := inMem.Snapshot(dir); err != nil {
 				t.Fatal(err)
 			}
@@ -116,59 +95,114 @@ func TestLoadedWarmStartBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if st.Recertified != 1 {
-				t.Fatalf("LoadStats = %+v, want 1 recertified incumbent", st)
+			if st.Entries != 1 {
+				t.Fatalf("LoadStats = %+v, want 1 entry", st)
 			}
 
-			// Same shape, different content: this path exercises the warm
-			// start (incumbent seeding), not the content-identical hit.
-			next := wireMILP(22, 0.5)
-			a, err := prob.Solve(next, prob.Options{Cache: fromDisk})
+			// Same shape, different content: a miss in both caches.
+			a, err := prob.Solve(wireMILP(22, 0.5), prob.Options{Cache: fromDisk})
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := prob.Solve(next, prob.Options{Cache: inMem})
+			b, err := prob.Solve(wireMILP(22, 0.5), prob.Options{Cache: inMem})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !a.CacheHit && !a.WarmStarted {
-				t.Fatalf("disk-loaded solve used no cached state: %+v", a)
+			want, err := prob.Solve(wireMILP(22, 0.5), prob.Options{})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if a.WarmStarted != b.WarmStarted || a.CacheHit != b.CacheHit {
-				t.Fatalf("cache path diverges: disk hit=%v warm=%v, mem hit=%v warm=%v",
-					a.CacheHit, a.WarmStarted, b.CacheHit, b.WarmStarted)
+			if a.CacheHit || b.CacheHit {
+				t.Fatalf("new content hit the cache: disk %v, mem %v", a.CacheHit, b.CacheHit)
 			}
-			assertBitIdentical(t, a, b)
+			sameAnswer(t, "disk vs mem", a, b)
+			sameAnswer(t, "disk vs uncached", a, want)
 		})
 	}
 }
 
-func TestLoadFormsOnlyDropsIncumbents(t *testing.T) {
+// TestLoadDropsLegacyIncumbents: wire Version 1 entry frames keep two
+// incumbent slots, which snapshots used to fill with the solution that
+// produced the entry. Such a file must still load — as a form, with the
+// incumbent read and dropped — and a solve through it must equal an
+// uncached one, even when the stored incumbent is garbage.
+func TestLoadDropsLegacyIncumbents(t *testing.T) {
+	p := wireMILP(5, 0.25)
 	dir := t.TempDir()
-	warm := prob.NewCache()
-	solveAll(t, warm, []*prob.Problem{wireMILP(5, 0.25)})
-	if _, err := warm.Snapshot(dir); err != nil {
+	c := prob.NewCache()
+	solveAll(t, c, []*prob.Problem{p})
+	if _, err := c.Snapshot(dir); err != nil {
 		t.Fatal(err)
 	}
+	files, err := filepath.Glob(filepath.Join(dir, "shard-*.rcr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rewritten := 0
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		preLen, err := wire.FrameLen(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if preLen == len(data) {
+			continue // empty shard
+		}
+		h, payload, err := wire.OpenFrame(data[preLen:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		probLen, err := wire.FrameLen(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Re-emit the entry with a filled incumbent vector slot. NaNs make
+		// it a point no certifier would accept: it must never be used.
+		w := wire.GetWriter()
+		w.Extend(preLen)
+		copy(w.Bytes(), data[:preLen])
+		start := w.BeginFrame(h)
+		copy(w.Extend(probLen), payload[:probLen])
+		x := make([]float64, p.NumVars)
+		for i := range x {
+			x[i] = math.NaN()
+		}
+		w.F64s(x)
+		w.U8(0) // empty matrix slot
+		w.EndFrame(start)
+		if err := os.WriteFile(f, w.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		wire.PutWriter(w)
+		rewritten++
+	}
+	if rewritten != 1 {
+		t.Fatalf("rewrote %d shard files, want 1", rewritten)
+	}
 
-	restored := prob.NewCache().DisableWarmStarts()
+	restored := prob.NewCache()
 	st, err := restored.Load(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Entries != 1 || st.Recertified != 0 || st.Rejected != 0 {
-		t.Fatalf("forms-only LoadStats = %+v, want 1 entry, 0 recertified/rejected", st)
+	if st.Entries != 1 || st.Corrupt != 0 {
+		t.Fatalf("LoadStats = %+v, want 1 entry, 0 corrupt", st)
 	}
 	res, err := prob.Solve(wireMILP(5, 0.25), prob.Options{Cache: restored})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.CacheHit {
-		t.Fatal("forms-only restored cache did not reuse the compiled form")
+		t.Fatal("legacy entry did not load as a compiled form")
 	}
-	if res.WarmStarted {
-		t.Fatal("forms-only restored cache leaked a warm start")
+	want, err := prob.Solve(wireMILP(5, 0.25), prob.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	sameAnswer(t, "legacy snapshot", res, want)
 }
 
 func TestLoadMissingDirIsEmpty(t *testing.T) {

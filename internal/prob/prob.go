@@ -19,10 +19,9 @@
 // whichever backend runs, and reports a unified Result carrying the typed
 // guard.Status and the per-pass provenance trail.
 //
-// A structural-fingerprint cache (see Cache) lets repeated solves of
-// same-shape problems — the qos.SolveRobust ladder sharing one column model
-// across its exact and relaxed rungs, batch RRA instances, probe loops —
-// reuse lowered/compiled forms and warm-start from prior solutions.
+// A structural-fingerprint cache (see Cache) lets repeated solves of a
+// content-identical problem — qosd's repeat traffic, a restarted service —
+// reuse the lowered/compiled form. It never changes the answer.
 package prob
 
 import (

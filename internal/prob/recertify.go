@@ -8,9 +8,8 @@ package prob
 // coordinator merges a remote result it therefore re-runs the semantic
 // slice of the certificate against its own copy of the problem: primal
 // feasibility recomputed from the IR, integrality of incumbents, and
-// objective reproduction at the returned point. This mirrors what the
-// persistent cache does to loaded snapshots (persist.go) — remote workers
-// and disk are the same kind of untrusted source.
+// objective reproduction at the returned point. The persistent cache needs
+// no such step: it loads problems, never answers (persist.go).
 
 import (
 	"errors"

@@ -32,17 +32,17 @@ type Options struct {
 
 	// QP is the barrier configuration; its Budget field is overwritten with
 	// Options.Budget. X0, when non-nil, is the strictly feasible barrier
-	// start (otherwise phase 1 or a cached warm start supplies one).
+	// start (otherwise phase 1 supplies one).
 	QP qp.Options
 	X0 []float64
 
 	// SDP is the ADMM configuration; its Budget field is overwritten with
-	// Options.Budget, and its X0 field — when nil — is filled from the
-	// cache's warm start.
+	// Options.Budget.
 	SDP sdp.Options
 
-	// Cache, when non-nil, memoizes lowered forms and warm starts across
-	// solves keyed by structural fingerprint (see Cache).
+	// Cache, when non-nil, memoizes lowered/compiled forms across solves
+	// keyed by structural fingerprint (see Cache). It never changes the
+	// answer.
 	Cache *Cache
 
 	// Cert configures the a-posteriori certificate every converged result
@@ -82,10 +82,8 @@ type Result struct {
 	// Trail is the per-pass provenance: the lowering passes applied in
 	// order, then "backend:<name>".
 	Trail []string
-	// CacheHit reports that the compiled backend form was reused verbatim;
-	// WarmStarted that a previous solution seeded this solve.
-	CacheHit    bool
-	WarmStarted bool
+	// CacheHit reports that the compiled backend form was reused verbatim.
+	CacheHit bool
 
 	// Cert is the a-posteriori certificate of the returned solution (nil
 	// only when Options.Cert.Disable was set). VerdictNone marks results
@@ -146,18 +144,17 @@ func Solve(p *Problem, o Options) (*Result, error) {
 		return nil, err
 	}
 	var fp Fingerprint
-	var ent *cacheEntry
 	fpDone := false
+	var low *loweredForm
+	hit := false
 	if o.Cache != nil {
 		fp = p.Fingerprint()
 		fpDone = true
-		ent = o.Cache.lookup(fp.Shape)
+		if ent := o.Cache.lookup(fp.Shape); ent != nil && ent.content == fp.Content {
+			low, hit = ent.low, true
+		}
 	}
-	var low *loweredForm
-	hit := false
-	if ent != nil && ent.content == fp.Content && ent.low != nil {
-		low, hit = ent.low, true
-	} else {
+	if low == nil {
 		var err error
 		low, err = lowerForBackend(p)
 		if err != nil {
@@ -168,11 +165,11 @@ func Solve(p *Problem, o Options) (*Result, error) {
 	// attempt runs one dispatch under ao: backend solve, the fault-injection
 	// seam, then recovery lifting. The backend-space solution is captured
 	// before lifting mutates X in place — it is what certification checks
-	// against the lowered problem and what the cache stores.
-	attempt := func(ao Options, aent *cacheEntry) (res *Result, backendX []float64, backendXMat *mat.Matrix, rejected bool, err error) {
-		res, rejected, err = dispatch(low, ao, aent)
+	// against the lowered problem.
+	attempt := func(ao Options) (res *Result, backendX []float64, backendXMat *mat.Matrix, err error) {
+		res, err = dispatch(low, ao)
 		if res == nil {
-			return nil, nil, nil, rejected, err
+			return nil, nil, nil, err
 		}
 		if ao.Tamper != nil {
 			ao.Tamper(res)
@@ -188,30 +185,19 @@ func Solve(p *Problem, o Options) (*Result, error) {
 			// value survives in the backend-specific result.
 			res.Objective = p.EvalObjective(res.X)
 		}
-		return res, backendX, backendXMat, rejected, err
+		return res, backendX, backendXMat, err
 	}
 
-	res, backendX, backendXMat, rejected, err := attempt(o, ent)
-	if rejected {
-		// The cached solution failed warm-start re-verification against
-		// this instance: evict it once instead of re-checking (and
-		// re-rejecting) it on every future same-shape lookup.
-		o.Cache.quarantine(fp.Shape)
-	}
+	res, backendX, backendXMat, err := attempt(o)
+	o.Cache.record(hit)
 	if res == nil {
-		o.Cache.record(hit, false)
 		return nil, err
 	}
-	o.Cache.record(hit, res.WarmStarted)
 
 	if !o.Cert.Disable {
 		c := certifyAttempt(p, low, o, res, backendX)
 		res.Cert = c
 		if c.Verdict == cert.VerdictFail {
-			// A poisoned answer must never warm-start another solve, even
-			// if a later rung recovers: the cached solution predates the
-			// failure and shares its provenance.
-			o.Cache.quarantine(fp.Shape)
 			certTrail := []string{"cert:" + c.String()}
 			if !fpDone {
 				// Content bits seed the perturbed-restart rung even when
@@ -221,7 +207,7 @@ func Solve(p *Problem, o Options) (*Result, error) {
 			}
 			for r := 1; r <= o.Cert.retries() && c.Verdict == cert.VerdictFail; r++ {
 				ro := escalated(o, r, fp.Content)
-				res2, bx2, bxm2, _, err2 := attempt(ro, nil)
+				res2, bx2, bxm2, err2 := attempt(ro)
 				if res2 == nil {
 					certTrail = append(certTrail, fmt.Sprintf("cert:retry(%d):error", r))
 					continue
@@ -248,9 +234,12 @@ func Solve(p *Problem, o Options) (*Result, error) {
 		}
 	}
 
+	// Only a solve that produced a trusted point stores its form. The form
+	// itself cannot be poisoned, but a failed solve leaves the cache as it
+	// was, so an identical later request lowers afresh and counts a miss.
 	certOK := res.Cert == nil || res.Cert.Verdict != cert.VerdictFail
 	if (backendX != nil || backendXMat != nil) && res.Status != guard.StatusDiverged && certOK {
-		o.Cache.store(p, fp, low, backendX, backendXMat)
+		o.Cache.store(p, fp, low)
 	}
 	return res, err
 }
@@ -298,23 +287,22 @@ func lowerForBackend(p *Problem) (*loweredForm, error) {
 
 // dispatch runs the backend for the lowered form. The returned Result holds
 // the backend-space solution (X cloned so recovery lifts never alias the raw
-// backend result); err mirrors the backend's error contract. rejected
-// reports that the cache entry's solution was offered as a warm start and
-// failed its re-verification — the caller quarantines it so the check is
-// never repeated against the same poisoned solution.
-func dispatch(low *loweredForm, o Options, ent *cacheEntry) (res *Result, rejected bool, err error) {
+// backend result); err mirrors the backend's error contract. The only starts
+// a backend sees are the caller's: Options.Incumbent (minlp), Options.X0
+// (qp) and Options.SDP.X0 (sdp).
+func dispatch(low *loweredForm, o Options) (*Result, error) {
 	switch low.backend {
 	case "lp":
 		sol, err := lp.SolveBudget(low.lp, o.Budget)
 		if sol == nil {
-			return nil, false, err
+			return nil, err
 		}
 		res := &Result{Backend: "lp", LP: sol, X: cloneF(sol.X), Objective: sol.Objective}
 		res.Status = sol.Guard
 		if res.Status == guard.StatusOK {
 			res.Status = sol.Status.Guard()
 		}
-		return res, false, err
+		return res, err
 
 	case "minlp":
 		mo := minlp.Options{
@@ -323,38 +311,19 @@ func dispatch(low *loweredForm, o Options, ent *cacheEntry) (res *Result, reject
 			GapTol:   o.GapTol,
 			Budget:   o.Budget,
 		}
-		warm := false
-		// Candidate incumbents: the caller's, then the cache's previous
-		// solution. Each must be feasible for the *lowered* problem being
-		// solved (an infeasible incumbent would prune the true optimum);
-		// the backend-sense objective is computed here, never by callers.
-		best := math.Inf(1)
-		consider := func(x []float64, fromCache bool) {
-			if x == nil {
-				return
-			}
-			if !low.final.feasible(x, incumbentTol) {
-				if fromCache {
-					rejected = true
-				}
-				return
-			}
-			if v := backendLinObj(low.final, x); v < best {
-				best = v
-				mo.Incumbent = cloneF(x)
-				mo.IncumbentObj = v
-				warm = fromCache
-			}
-		}
-		consider(o.Incumbent, false)
-		if ent != nil {
-			consider(ent.x, true)
+		// The caller's incumbent must be feasible for the *lowered* problem
+		// being solved (an infeasible incumbent would prune the true
+		// optimum); the backend-sense objective is computed here, never by
+		// callers.
+		if x := o.Incumbent; x != nil && low.final.feasible(x, incumbentTol) {
+			mo.Incumbent = cloneF(x)
+			mo.IncumbentObj = backendLinObj(low.final, x)
 		}
 		r, err := minlp.SolveMILP(low.milp, mo)
 		if r == nil {
-			return nil, rejected, err
+			return nil, err
 		}
-		res := &Result{Backend: "minlp", MILP: r, X: cloneF(r.X), Objective: r.Objective, WarmStarted: warm}
+		res := &Result{Backend: "minlp", MILP: r, X: cloneF(r.X), Objective: r.Objective}
 		if r.X != nil && guard.Finite(r.Gap()) {
 			res.Gap = r.Gap()
 		}
@@ -362,55 +331,40 @@ func dispatch(low *loweredForm, o Options, ent *cacheEntry) (res *Result, reject
 		if res.Status == guard.StatusOK {
 			res.Status = r.Status.Guard()
 		}
-		return res, rejected, err
+		return res, err
 
 	case "qp":
 		qo := o.QP
 		qo.Budget = o.Budget
-		x0 := o.X0
-		warm := false
-		if x0 == nil && ent != nil && ent.x != nil {
-			if qpStrictlyFeasible(low.qp, ent.x) {
-				x0 = cloneF(ent.x)
-				warm = true
-			} else {
-				rejected = true
-			}
-		}
-		r, err := qp.Solve(low.qp, x0, qo)
+		r, err := qp.Solve(low.qp, o.X0, qo)
 		if r == nil {
-			return nil, rejected, err
+			return nil, err
 		}
-		res := &Result{Backend: "qp", QP: r, X: cloneF(r.X), Objective: r.Objective, WarmStarted: warm, Gap: r.Gap}
+		res := &Result{Backend: "qp", QP: r, X: cloneF(r.X), Objective: r.Objective, Gap: r.Gap}
 		res.Status = r.Status
 		if res.Status == guard.StatusOK {
 			res.Status = guard.StatusConverged
 		}
-		return res, rejected, err
+		return res, err
 
 	default: // "sdp"
 		so := o.SDP
 		so.Budget = o.Budget
-		warm := false
-		if so.X0 == nil && ent != nil && ent.xMat != nil {
-			so.X0 = ent.xMat
-			warm = true
-		}
 		r, err := sdp.Solve(low.sdp, so)
 		if r == nil {
-			return nil, false, err
+			return nil, err
 		}
-		res := &Result{Backend: "sdp", SDP: r, XMat: r.X, Objective: r.Objective, WarmStarted: warm, Gap: r.Gap}
+		res := &Result{Backend: "sdp", SDP: r, XMat: r.X, Objective: r.Objective, Gap: r.Gap}
 		res.Status = r.Status
 		if res.Status == guard.StatusOK {
 			res.Status = guard.StatusConverged
 		}
-		return res, false, err
+		return res, err
 	}
 }
 
 // incumbentTol is the feasibility slack (relative to 1+|rhs|) accepted when
-// verifying a warm-start incumbent against the lowered problem.
+// verifying a caller's incumbent against the lowered problem.
 const incumbentTol = 1e-6
 
 // EvalObjective returns the vector objective ½xᵀQx + cᵀx + const at x, in
@@ -484,40 +438,6 @@ func (p *Problem) feasible(x []float64, tol float64) bool {
 	for _, b := range p.Bilin {
 		if math.Abs(x[b.W]-x[b.X]*x[b.Y]) > tol*(1+math.Abs(x[b.W])) {
 			return false
-		}
-	}
-	return true
-}
-
-// qpStrictlyFeasible reports whether x is a valid barrier start for the
-// compiled QP: strictly inside every inequality and on the equality
-// manifold (the Newton/KKT step preserves Ax=b only from a point that
-// satisfies it).
-func qpStrictlyFeasible(q *qp.Problem, x []float64) bool {
-	if x == nil || !guard.AllFinite(x) {
-		return false
-	}
-	n := len(q.F0.Q)
-	if n == 0 && q.F0.P != nil {
-		n = q.F0.P.Rows
-	}
-	if len(x) != n {
-		return false
-	}
-	for i := range q.Ineq {
-		if q.Ineq[i].Eval(x) >= 0 {
-			return false
-		}
-	}
-	if q.A != nil && q.A.Rows > 0 {
-		ax, err := q.A.MulVec(x)
-		if err != nil {
-			return false
-		}
-		for i, v := range ax {
-			if math.Abs(v-q.B[i]) > 1e-8*(1+math.Abs(q.B[i])) {
-				return false
-			}
 		}
 	}
 	return true

@@ -418,7 +418,7 @@ func (res *Result) encodeWirePayload(w *wire.Writer) {
 		}
 	}
 	w.Bool(res.CacheHit)
-	w.Bool(res.WarmStarted)
+	w.U8(0) // retired warm-start flag: always 0 in wire Version 1
 	w.F64(res.Residual)
 	w.F64(res.Gap)
 	if res.Cert == nil {
@@ -495,7 +495,10 @@ func (res *Result) decodeWirePayload(r *wire.Reader) {
 		return
 	}
 	res.CacheHit = r.Bool()
-	res.WarmStarted = r.Bool()
+	if r.U8() != 0 {
+		r.Corruptf("retired warm-start flag set")
+		return
+	}
 	res.Residual = r.F64()
 	res.Gap = r.F64()
 	res.LP, res.MILP, res.QP, res.SDP = nil, nil, nil, nil

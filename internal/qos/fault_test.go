@@ -29,8 +29,8 @@ import (
 // faultPlans is the master-seeded fault matrix shared by the path tests.
 func faultPlans(master uint64) []faultinject.Plan {
 	return []faultinject.Plan{
-		{Seed: master, CancelAtIter: 0},          // cancel before the first iteration
-		{Seed: master + 1, CancelAtIter: 2},      // cancel mid-run
+		{Seed: master, CancelAtIter: 0},                     // cancel before the first iteration
+		{Seed: master + 1, CancelAtIter: 2},                 // cancel mid-run
 		{Seed: master + 2, CancelAtIter: -1, MaxEvals: 1},   // eval starvation
 		{Seed: master + 3, CancelAtIter: -1, MaxEvals: 100}, // partial budget
 	}

@@ -219,10 +219,11 @@ type RobustOptions struct {
 	// Seed drives the perturbed restarts (deterministic at any RCR_WORKERS;
 	// see internal/rng).
 	Seed uint64
-	// Cache, when non-nil, shares lowered-form and warm-start state across
-	// calls (batch RRA instances of the same shape reuse each other's
-	// compiled models and incumbents). When nil the ladder still builds a
-	// per-call cache so its own rungs share the column model's lowerings.
+	// Cache, when non-nil, shares compiled forms across calls: a request
+	// whose column model is content-identical to an earlier one skips
+	// lowering and compilation. It never changes the answer. Nil solves
+	// uncached; the ladder's exact and relaxed rungs differ in shape, so a
+	// per-call cache would never hit.
 	Cache *prob.Cache
 	// RungGate, when non-nil, is consulted before each budgeted rung; a
 	// false return skips the rung with a typed "skipped: rung gated" report
@@ -266,14 +267,8 @@ func (p *Problem) SolveRobust(o RobustOptions) (*Allocation, *Report, *Degradati
 	deg := &Degradation{}
 	mon := o.Budget.Start()
 	// One column model for the whole ladder: the exact and relaxed rungs
-	// solve the same IR (modulo the Eq. 7 integrality drop), and the shared
-	// fingerprint cache lets repeated same-shape solves — within this ladder
-	// or across batch calls via o.Cache — reuse lowered forms and warm starts.
+	// solve the same IR (modulo the Eq. 7 integrality drop).
 	cols, ir := p.columnModel()
-	cache := o.Cache
-	if cache == nil {
-		cache = prob.NewCache()
-	}
 
 	// score evaluates a rung's allocation; a nil report means unusable.
 	score := func(a *Allocation) *Report {
@@ -328,7 +323,7 @@ func (p *Problem) SolveRobust(o RobustOptions) (*Allocation, *Report, *Degradati
 
 	// Rung 1: exact branch and bound.
 	if !gated(RungExact) && !interrupted(RungExact) {
-		alloc, sol, err := p.solveExactIR(cols, ir, minlp.Options{MaxNodes: o.MaxNodes, Budget: o.Budget}, cache, o.Tamper)
+		alloc, sol, err := p.solveExactIR(cols, ir, minlp.Options{MaxNodes: o.MaxNodes, Budget: o.Budget}, o.Cache, o.Tamper)
 		rr := RungReport{Attempts: 1}
 		if sol != nil && sol.MILP != nil {
 			rr.Status = sol.MILP.Guard
@@ -357,7 +352,7 @@ func (p *Problem) SolveRobust(o RobustOptions) (*Allocation, *Report, *Degradati
 	// Rung 2: LP relaxation + deterministic rounding (the MILP → LP move of
 	// the paper's relaxed verifiers).
 	if !gated(RungRelaxed) && !interrupted(RungRelaxed) {
-		alloc, res, err := p.solveRelaxedIR(cols, ir, o.Budget, cache, o.Tamper)
+		alloc, res, err := p.solveRelaxedIR(cols, ir, o.Budget, o.Cache, o.Tamper)
 		rr := RungReport{Attempts: 1}
 		if res != nil {
 			rr.Status = res.Guard

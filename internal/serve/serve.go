@@ -20,11 +20,11 @@
 //   - Response: a typed Outcome from the same taxonomy (and exit codes) as
 //     cmd/qossolver.
 //
-// Determinism: the shared solve cache runs in forms-only mode
-// (prob.Cache.DisableWarmStarts), so one request's solution never seeds
-// another's branch-and-bound — an identical request with an identical seed
-// yields a bit-identical allocation at any worker count and under any
-// arrival interleaving. Admission decisions are equally replayable for a
+// Determinism: the shared solve cache memoizes compiled forms only
+// (prob.Cache), so one request's solution never seeds another's
+// branch-and-bound — an identical request with an identical seed yields a
+// bit-identical allocation at any worker count and under any arrival
+// interleaving. Admission decisions are equally replayable for a
 // fixed submission order. The package intentionally sits outside the
 // rcrlint nondet surface: wall-clock latency measurement and goroutines are
 // service concerns; everything that reaches a solver stays seeded.
@@ -223,20 +223,18 @@ func New(cfg Config) *Server {
 			qos.RungRelaxed: NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
 			qos.RungPSO:     NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
 		},
-		// Forms-only cache: compiled lowerings are shared across requests,
-		// solutions are not — warm starts could steer branch and bound
-		// between tied optima depending on arrival order, breaking the
-		// bit-identical-at-any-interleaving contract.
-		cache: prob.NewCache().DisableWarmStarts(),
+		// Compiled lowerings are shared across requests; solutions are
+		// not, so arrival order cannot steer branch and bound between tied
+		// optima.
+		cache: prob.NewCache(),
 	}
 	if cfg.AdmitRate > 0 {
 		s.bucket = NewTokenBucket(cfg.AdmitRate, cfg.AdmitBurst)
 	}
 	if cfg.CacheDir != "" {
-		// Warm restart: restore the previous process's snapshot before any
-		// worker starts. The cache is forms-only here, so Load keeps the
-		// compiled lowerings and drops incumbents without recertification;
-		// corrupt entries are skipped and surface in Stats.CacheRejected.
+		// Warm restart: restore the previous process's compiled forms
+		// before any worker starts; corrupt entries are skipped and surface
+		// in Stats.CacheCorrupt.
 		ls, err := s.cache.Load(cfg.CacheDir)
 		if err != nil {
 			s.stats.persistErrors.Add(1)
@@ -372,10 +370,8 @@ func (s *Server) Stats() Stats {
 		PanicsRecovered:    s.stats.panics.Load(),
 		CacheHits:          int64(cs.Hits),
 		CacheMisses:        int64(cs.Misses),
-		Quarantined:        int64(cs.Quarantined),
 		CacheLoaded:        int64(s.loadStats.Entries),
-		CacheRecertified:   int64(s.loadStats.Recertified),
-		CacheRejected:      int64(s.loadStats.Rejected + s.loadStats.Corrupt),
+		CacheCorrupt:       int64(s.loadStats.Corrupt),
 		CacheSnapshots:     s.stats.snapshots.Load(),
 		CachePersistErrors: s.stats.persistErrors.Load(),
 		Breakers:           make(map[qos.Rung]BreakerState, len(s.breakers)),

@@ -90,14 +90,11 @@ type Stats struct {
 	// Shared solver cache.
 	CacheHits   int64
 	CacheMisses int64
-	Quarantined int64
 	// Persistence (CacheDir mode; all zero otherwise). CacheLoaded counts
-	// entries restored at startup, CacheRecertified the loaded incumbents
-	// that re-passed certification, CacheRejected everything refused at the
-	// load trust boundary (quarantined incumbents plus corrupt entries).
+	// entries restored at startup, CacheCorrupt the entries refused at the
+	// load trust boundary (checksum, decode, or fingerprint failures).
 	CacheLoaded        int64
-	CacheRecertified   int64
-	CacheRejected      int64
+	CacheCorrupt       int64
 	CacheSnapshots     int64
 	CachePersistErrors int64
 	// Breakers: rung → current state; Opens counts cumulative trips.
