@@ -67,7 +67,6 @@ type options struct {
 	batch    int
 	rate     float64
 	burst    float64
-	retries  int
 	maxevals int
 	listen   string
 	cacheDir string
@@ -88,7 +87,6 @@ func parseFlags(args []string) (options, error) {
 	fs.IntVar(&o.batch, "batch", 0, "mMTC coalescing batch size (0 = default)")
 	fs.Float64Var(&o.rate, "rate", 0, "admission tokens per submission tick (0 = no rate limit)")
 	fs.Float64Var(&o.burst, "burst", 0, "admission token-bucket capacity")
-	fs.IntVar(&o.retries, "retries", 0, "attempts for diverged solves (0 = default, no retry)")
 	fs.IntVar(&o.maxevals, "maxevals", 0, "replace per-class budgets with an eval-only cap (0 = class defaults); eval caps have no wall clock, so outcomes become load-independent")
 	fs.StringVar(&o.listen, "listen", "", "serve mode: HTTP listen address (empty = workload mode)")
 	fs.StringVar(&o.cacheDir, "cache-dir", "", "persistent solver-cache directory: load on startup, snapshot periodically and on graceful drain (empty = in-memory only)")
@@ -106,13 +104,12 @@ func parseFlags(args []string) (options, error) {
 
 func (o options) config() serve.Config {
 	cfg := serve.Config{
-		Workers:       o.workers,
-		QueueDepth:    o.queue,
-		BatchSize:     o.batch,
-		AdmitRate:     o.rate,
-		AdmitBurst:    o.burst,
-		RetryAttempts: o.retries,
-		CacheDir:      o.cacheDir,
+		Workers:    o.workers,
+		QueueDepth: o.queue,
+		BatchSize:  o.batch,
+		AdmitRate:  o.rate,
+		AdmitBurst: o.burst,
+		CacheDir:   o.cacheDir,
 	}
 	if o.maxevals > 0 {
 		// Eval-only budgets: the default class deadlines classify outcomes by

@@ -112,17 +112,13 @@ func run(args []string) (guard.Status, error) {
 			}
 		}
 	case "robust":
-		var rep *qos.Report
 		var deg *qos.Degradation
-		alloc, rep, deg, err = p.SolveRobust(qos.RobustOptions{Budget: budget, Seed: *seed,
+		alloc, _, deg, err = p.SolveRobust(qos.RobustOptions{Budget: budget, Seed: *seed,
 			PSO: pso.Options{Swarm: 30, MaxIter: 250, Inertia: pso.DefaultAdaptiveInertia(), StagnationWindow: 20}})
 		if err == nil {
 			degradation = deg.String()
 			fmt.Fprintln(os.Stderr, degradation)
-			st = deg.Rungs[len(deg.Rungs)-1].Status
-			if rep.AllQoSMet && !deg.Degraded() {
-				st = guard.StatusConverged
-			}
+			st = deg.Status()
 		}
 	default:
 		return guard.StatusOK, fmt.Errorf("unknown solver %q", *solver)

@@ -65,10 +65,27 @@ type ExperimentRun struct {
 	Rows int     `json:"rows"`
 }
 
-// captureBaseline measures every probe the registry builds and every
-// experiment, and writes the baseline file into dir. The command passes
-// probeRegistry; tests pass a stub registry of instant probes.
-func captureBaseline(label, dir string, seed uint64, registry func(seed uint64) ([]probe, func(), error)) (string, error) {
+// experiment is one entry of the experiment list a capture times.
+type experiment struct {
+	id  string
+	run experiments.Runner
+}
+
+// allExperiments lists every registered experiment in run order.
+func allExperiments() []experiment {
+	reg := experiments.Registry()
+	var exps []experiment
+	for _, id := range experiments.Order() {
+		exps = append(exps, experiment{id: id, run: reg[id]})
+	}
+	return exps
+}
+
+// captureBaseline measures every probe the registry builds and times every
+// experiment of exps in quick mode, and writes the baseline file into dir.
+// The command passes probeRegistry and allExperiments(); tests pass a stub
+// registry of instant probes and a stub experiment list.
+func captureBaseline(label, dir string, seed uint64, registry func(seed uint64) ([]probe, func(), error), exps []experiment) (string, error) {
 	if label == "" {
 		return "", fmt.Errorf("baseline label must be non-empty")
 	}
@@ -92,15 +109,14 @@ func captureBaseline(label, dir string, seed uint64, registry func(seed uint64) 
 	if b.HotAllocs, err = allocProbes(seed); err != nil {
 		return "", err
 	}
-	reg := experiments.Registry()
-	for _, id := range experiments.Order() {
+	for _, e := range exps {
 		start := time.Now()
-		table, err := reg[id](seed, true)
+		table, err := e.run(seed, true)
 		if err != nil {
-			return "", fmt.Errorf("experiment %s: %w", id, err)
+			return "", fmt.Errorf("experiment %s: %w", e.id, err)
 		}
 		b.Exps = append(b.Exps, ExperimentRun{
-			ID:   id,
+			ID:   e.id,
 			Ms:   float64(time.Since(start).Microseconds()) / 1e3,
 			Rows: len(table.Rows),
 		})

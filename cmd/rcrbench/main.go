@@ -46,7 +46,7 @@ func run(args []string) error {
 		return checkBaseline(*check, *seed)
 	}
 	if *baseline != "" {
-		path, err := captureBaseline(*baseline, *benchDir, *seed, probeRegistry)
+		path, err := captureBaseline(*baseline, *benchDir, *seed, probeRegistry, allExperiments())
 		if err != nil {
 			return fmt.Errorf("baseline %q: %w", *baseline, err)
 		}

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -51,14 +52,30 @@ func stubRegistry(gateRan, cleaned *bool) func(uint64) ([]probe, func(), error) 
 
 func TestBaselineRejectsEmptyLabelViaCapture(t *testing.T) {
 	var gateRan, cleaned bool
-	if _, err := captureBaseline("", t.TempDir(), 1, stubRegistry(&gateRan, &cleaned)); err == nil {
+	if _, err := captureBaseline("", t.TempDir(), 1, stubRegistry(&gateRan, &cleaned), nil); err == nil {
 		t.Fatal("want error for empty baseline label")
 	}
 }
 
-// TestBaselineWritesSnapshot pins the capture plumbing — registry in,
-// self-gates applied, cleanup run, schema out — on a stub registry. The
-// timed capture of the real registry, with every self-gate, is a ci.sh
+// stubExperiments stands in for allExperiments in the capture-plumbing
+// tests: two instant experiments with known row counts, which refuse to
+// run outside quick mode.
+func stubExperiments() []experiment {
+	rows := func(n int) experiments.Runner {
+		return func(_ uint64, quick bool) (*experiments.Table, error) {
+			if !quick {
+				return nil, errors.New("baseline capture must run experiments in quick mode")
+			}
+			return &experiments.Table{Rows: make([][]string, n)}, nil
+		}
+	}
+	return []experiment{{id: "stub_a", run: rows(2)}, {id: "stub_b", run: rows(0)}}
+}
+
+// TestBaselineWritesSnapshot pins the capture plumbing — registry and
+// experiment list in, self-gates applied, cleanup run, schema out — on a
+// stub registry and stub experiments. The timed capture of the real
+// registry and every F1–T8 experiment, with every self-gate, is a ci.sh
 // stage.
 func TestBaselineWritesSnapshot(t *testing.T) {
 	if testing.Short() {
@@ -66,7 +83,7 @@ func TestBaselineWritesSnapshot(t *testing.T) {
 	}
 	dir := t.TempDir()
 	var gateRan, cleaned bool
-	path, err := captureBaseline("testlbl", dir, 1, stubRegistry(&gateRan, &cleaned))
+	path, err := captureBaseline("testlbl", dir, 1, stubRegistry(&gateRan, &cleaned), stubExperiments())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,8 +116,12 @@ func TestBaselineWritesSnapshot(t *testing.T) {
 			t.Fatalf("kernel %s has empty timing: %+v", k.Name, k)
 		}
 	}
-	if len(b.Exps) != len(experiments.Order()) {
-		t.Fatalf("captured %d experiments, want %d", len(b.Exps), len(experiments.Order()))
+	var exps []string
+	for _, e := range b.Exps {
+		exps = append(exps, fmt.Sprintf("%s/%d", e.ID, e.Rows))
+	}
+	if want := []string{"stub_a/2", "stub_b/0"}; !reflect.DeepEqual(exps, want) {
+		t.Fatalf("captured experiments %v, want %v", exps, want)
 	}
 }
 

@@ -21,7 +21,8 @@ import (
 type PoolOptions struct {
 	// BreakerThreshold consecutive failures open a worker's circuit
 	// breaker; BreakerCooldown refused dispatches later it half-opens.
-	// Zero values take serve's defaults (3, 4).
+	// Zero values take NewPool's defaults (3, 4); serve's per-rung
+	// breakers default to (3, 8).
 	BreakerThreshold int
 	BreakerCooldown  int
 	// DeadAfter is how long a worker may be silent (no frame of any kind)

@@ -5,8 +5,8 @@ import (
 
 	"repro/internal/anneal"
 	"repro/internal/mat"
+	"repro/internal/prob"
 	"repro/internal/pso"
-	"repro/internal/relax"
 	"repro/internal/rng"
 )
 
@@ -174,7 +174,7 @@ func T4TraceRelaxation(seed uint64, quick bool) (*Table, error) {
 		for i := 0; i < n; i++ {
 			rs.Add(i, i, 0.5+r.Float64())
 		}
-		dec, err := relax.DecomposeDiagLowRank(rs, relax.TraceMinOptions{})
+		dec, err := prob.DecomposeDiagLowRank(rs, prob.TraceMinOptions{})
 		if err != nil {
 			return nil, err
 		}

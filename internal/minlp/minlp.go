@@ -1,12 +1,11 @@
-// Package minlp implements branch-and-bound over convex node relaxations —
-// the "exact verifier" side of the paper's hybrid verification vector
+// Package minlp implements branch and bound over LP node relaxations — the
+// "exact verifier" side of the paper's hybrid verification vector
 // (§II-B-2) and the solver of record for the 5G QoS MINLPs (frequency-time
-// block assignment × power control).
+// block assignment × power control), which internal/prob lowers to MILPs.
 //
-// The core is relaxation-agnostic: a node is defined by variable bounds,
-// and a caller-supplied RelaxSolver produces the convex lower bound (an LP,
-// QP, or QCQP — any convex surrogate). SolveMILP specializes the core to
-// linear programs via the lp package.
+// SolveMILP owns both the tree and its node LP: a node is a box of variable
+// bounds over the MILP's rows, and its lower bound is the lp package's
+// solve of the LP restricted to that box.
 package minlp
 
 import (
@@ -71,20 +70,6 @@ func (s Status) Guard() guard.Status {
 		return guard.StatusOK
 	}
 }
-
-// RelaxStatus is what a node relaxation reports.
-type RelaxStatus int
-
-// Node relaxation outcomes.
-const (
-	RelaxOptimal RelaxStatus = iota + 1
-	RelaxInfeasible
-	RelaxUnbounded
-)
-
-// RelaxSolver solves the continuous relaxation restricted to the box
-// [lo, hi] and returns the minimizer, its objective, and a status.
-type RelaxSolver func(lo, hi []float64) (x []float64, obj float64, st RelaxStatus, err error)
 
 // Options configures branch and bound. Zero fields take defaults.
 type Options struct {
@@ -168,37 +153,36 @@ func (h *nodeHeap) Pop() interface{} {
 	return it
 }
 
-// Problem is the typed MINLP: the root box, the integrality marks, and the
-// caller-supplied convex node relaxation. It mirrors the vector part of the
-// internal/prob IR (bounds + integer marks), which is what produces these
-// values in the lowered pipeline; the relaxation closure carries whatever
-// convex surrogate the lowering chose.
-type Problem struct {
-	// NumVars is the variable count; Lo and Hi must have exactly this
-	// length (entries may be ±Inf for continuous variables; integer
-	// variables should be given finite bounds or acquire them through the
-	// relaxation's constraints).
-	NumVars int
-	// Integer lists the indices required integral.
+// MILP is a mixed-integer linear program: the embedded LP plus a list of
+// variable indices constrained to integer values.
+type MILP struct {
+	LP      lp.Problem
 	Integer []int
-	Lo, Hi  []float64
-	// Relax solves the continuous relaxation on a node box.
-	Relax RelaxSolver
 }
 
-// SolveProblem runs best-first branch and bound on the typed problem.
-func SolveProblem(p *Problem, o Options) (*Result, error) {
+// SolveMILP runs best-first branch and bound with depth-first plunging,
+// solving each node's LP relaxation over the node's box.
+func SolveMILP(m *MILP, o Options) (*Result, error) {
 	o = o.withDefaults()
-	n, intVars, lo, hi, relax := p.NumVars, p.Integer, p.Lo, p.Hi, p.Relax
-	if relax == nil {
-		return nil, fmt.Errorf("minlp: nil relaxation solver")
-	}
-	if len(lo) != n || len(hi) != n {
-		return nil, fmt.Errorf("minlp: bounds length %d/%d for n=%d", len(lo), len(hi), n)
-	}
+	n, intVars := m.LP.NumVars, m.Integer
 	for _, j := range intVars {
 		if j < 0 || j >= n {
 			return nil, fmt.Errorf("minlp: integer index %d out of range [0,%d)", j, n)
+		}
+	}
+	// The root box: the LP's bounds, with missing entries defaulting to
+	// [0, +Inf) when the LP gives no bounds at all and to ±Inf past the end
+	// of a short bounds slice.
+	lo := make([]float64, n)
+	hi := make([]float64, n)
+	for j := 0; j < n; j++ {
+		if m.LP.Lo != nil {
+			lo[j] = boundAt(m.LP.Lo, j, math.Inf(-1))
+		}
+		if m.LP.Hi != nil {
+			hi[j] = boundAt(m.LP.Hi, j, math.Inf(1))
+		} else {
+			hi[j] = math.Inf(1)
 		}
 	}
 	res := &Result{Status: StatusInfeasible, Objective: math.Inf(1), BestBound: math.Inf(-1)}
@@ -207,7 +191,7 @@ func SolveProblem(p *Problem, o Options) (*Result, error) {
 		res.X = cloneF(o.Incumbent)
 		res.Objective = o.IncumbentObj
 	}
-	root := &node{lo: cloneF(lo), hi: cloneF(hi), bound: math.Inf(-1)}
+	root := &node{lo: lo, hi: hi, bound: math.Inf(-1)}
 	open := &nodeHeap{root}
 	heap.Init(open)
 
@@ -247,7 +231,16 @@ func SolveProblem(p *Problem, o Options) (*Result, error) {
 		if nd.bound >= res.Objective-o.GapTol {
 			continue // dominated by the incumbent
 		}
-		x, obj, st, err := relax(nd.lo, nd.hi)
+		// Only the context is forwarded into node LPs: deadline and eval
+		// accounting stay at the tree level (one eval per node), but a
+		// canceled context must interrupt even a long simplex run promptly.
+		sol, err := lp.SolveBudget(&lp.Problem{
+			NumVars:     n,
+			Objective:   m.LP.Objective,
+			Constraints: m.LP.Constraints,
+			Lo:          nd.lo,
+			Hi:          nd.hi,
+		}, guard.Budget{Ctx: o.Budget.Ctx})
 		res.Nodes++
 		mon.AddEvals(1)
 		if err != nil {
@@ -255,19 +248,14 @@ func SolveProblem(p *Problem, o Options) (*Result, error) {
 			// forwarded into a long LP) is an interruption, not a broken
 			// relaxation: keep the incumbent and classify it.
 			if gs, ok := guard.AsStatus(err); ok {
-				res.Status = StatusBudget
-				res.Guard = gs
-				if open.Len() > 0 {
-					res.BestBound = (*open)[0].bound
-				}
-				return res, fmt.Errorf("%w: %v after %d nodes", ErrBudget, gs, res.Nodes)
+				return budgetExit(gs)
 			}
 			return res, fmt.Errorf("minlp: node relaxation: %w", err)
 		}
-		switch st {
-		case RelaxInfeasible:
+		if sol.Status == lp.StatusInfeasible {
 			continue
-		case RelaxUnbounded:
+		}
+		if sol.Status != lp.StatusOptimal {
 			// An unbounded relaxation at the root with no incumbent means
 			// the MINLP itself may be unbounded; deeper in the tree it
 			// still prevents bounding, so surface it.
@@ -275,6 +263,7 @@ func SolveProblem(p *Problem, o Options) (*Result, error) {
 			res.Guard = guard.StatusUnbounded
 			return res, nil
 		}
+		x, obj := sol.X, sol.Objective
 		// Divergence sentinel: a non-finite node bound or minimizer would
 		// poison every pruning comparison from here on (NaN compares false
 		// against everything), so discard the node and record it.
@@ -345,57 +334,6 @@ func SolveProblem(p *Problem, o Options) (*Result, error) {
 
 func cloneF(xs []float64) []float64 {
 	return append([]float64(nil), xs...)
-}
-
-// MILP is a mixed-integer linear program: the embedded LP plus a list of
-// variable indices constrained to integer values.
-type MILP struct {
-	LP      lp.Problem
-	Integer []int
-}
-
-// SolveMILP runs branch and bound with LP node relaxations.
-func SolveMILP(m *MILP, o Options) (*Result, error) {
-	n := m.LP.NumVars
-	rootLo := make([]float64, n)
-	rootHi := make([]float64, n)
-	for j := 0; j < n; j++ {
-		if m.LP.Lo != nil {
-			rootLo[j] = boundAt(m.LP.Lo, j, math.Inf(-1))
-		} else {
-			rootLo[j] = 0
-		}
-		if m.LP.Hi != nil {
-			rootHi[j] = boundAt(m.LP.Hi, j, math.Inf(1))
-		} else {
-			rootHi[j] = math.Inf(1)
-		}
-	}
-	relax := func(lo, hi []float64) ([]float64, float64, RelaxStatus, error) {
-		sub := lp.Problem{
-			NumVars:     n,
-			Objective:   m.LP.Objective,
-			Constraints: m.LP.Constraints,
-			Lo:          lo,
-			Hi:          hi,
-		}
-		// Only the context is forwarded into node LPs: deadline and eval
-		// accounting stay at the tree level (one eval per node), but a
-		// canceled context must interrupt even a long simplex run promptly.
-		sol, err := lp.SolveBudget(&sub, guard.Budget{Ctx: o.Budget.Ctx})
-		if err != nil {
-			return nil, 0, RelaxInfeasible, err
-		}
-		switch sol.Status {
-		case lp.StatusOptimal:
-			return sol.X, sol.Objective, RelaxOptimal, nil
-		case lp.StatusInfeasible:
-			return nil, 0, RelaxInfeasible, nil
-		default:
-			return nil, 0, RelaxUnbounded, nil
-		}
-	}
-	return SolveProblem(&Problem{NumVars: n, Integer: m.Integer, Lo: rootLo, Hi: rootHi, Relax: relax}, o)
 }
 
 func boundAt(bs []float64, j int, def float64) float64 {

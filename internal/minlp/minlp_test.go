@@ -216,41 +216,6 @@ func TestBnBMatchesExhaustive(t *testing.T) {
 	}
 }
 
-// TestGenericRelaxationHook exercises the relaxation-agnostic core with a
-// hand-rolled convex relaxation: minimize (x-2.6)² over integers in [0,5],
-// whose box-restricted continuous optimum is the clipped 2.6.
-func TestGenericRelaxationHook(t *testing.T) {
-	relax := func(lo, hi []float64) ([]float64, float64, RelaxStatus, error) {
-		x := 2.6
-		if x < lo[0] {
-			x = lo[0]
-		}
-		if x > hi[0] {
-			x = hi[0]
-		}
-		return []float64{x}, (x - 2.6) * (x - 2.6), RelaxOptimal, nil
-	}
-	res, err := SolveProblem(&Problem{NumVars: 1, Integer: []int{0}, Lo: []float64{0}, Hi: []float64{5}, Relax: relax}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.X[0] != 3 {
-		t.Fatalf("x = %v, want 3 (nearest integer to 2.6)", res.X[0])
-	}
-	if math.Abs(res.Objective-0.16) > 1e-9 {
-		t.Fatalf("objective = %v, want 0.16", res.Objective)
-	}
-}
-
-func TestBoundsLengthValidation(t *testing.T) {
-	relax := func(lo, hi []float64) ([]float64, float64, RelaxStatus, error) {
-		return []float64{0}, 0, RelaxOptimal, nil
-	}
-	if _, err := SolveProblem(&Problem{NumVars: 2, Lo: []float64{0}, Hi: []float64{1, 2}, Relax: relax}, Options{}); err == nil {
-		t.Fatal("want bounds length error")
-	}
-}
-
 func BenchmarkKnapsack10(b *testing.B) {
 	r := rng.New(1)
 	n := 10

@@ -1,7 +1,8 @@
 package minlp
 
 import (
-	"math"
+	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/guard"
@@ -38,8 +39,10 @@ func TestStatusGuardExhaustive(t *testing.T) {
 	}
 }
 
-// TestSolveProblemKnapsack solves a 0/1 knapsack through SolveProblem with
-// the MILP LP hook as the node relaxation.
+// TestSolveProblemKnapsack pins SolveMILP's search on a 0/1 knapsack
+// problem: the node count, incumbent and bound of the full solve, and the
+// plunged incumbent and best-first bound when a node cap of 2 stops it.
+// Any change to node order, plunging or incumbent handling moves them.
 func TestSolveProblemKnapsack(t *testing.T) {
 	m := &MILP{
 		LP: lp.Problem{
@@ -53,30 +56,21 @@ func TestSolveProblemKnapsack(t *testing.T) {
 		},
 		Integer: []int{0, 1, 2},
 	}
-	relax := func(lo, hi []float64) ([]float64, float64, RelaxStatus, error) {
-		sub := m.LP
-		sub.Lo, sub.Hi = lo, hi
-		sol, err := lp.Solve(&sub)
-		if err != nil {
-			return nil, 0, RelaxInfeasible, err
-		}
-		switch sol.Status {
-		case lp.StatusOptimal:
-			return sol.X, sol.Objective, RelaxOptimal, nil
-		case lp.StatusUnbounded:
-			return nil, 0, RelaxUnbounded, nil
-		default:
-			return nil, 0, RelaxInfeasible, nil
-		}
-	}
-	lo := []float64{0, 0, 0}
-	hi := []float64{1, 1, 1}
-
-	res, err := SolveProblem(&Problem{NumVars: 3, Integer: []int{0, 1, 2}, Lo: lo, Hi: hi, Relax: relax}, Options{})
+	res, err := SolveMILP(m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Status != StatusOptimal || math.Abs(res.Objective-(-20)) > 1e-9 {
+	if res.Status != StatusOptimal || res.Guard != guard.StatusConverged || res.Nodes != 3 ||
+		res.Objective != -20 || res.BestBound != -20 || !reflect.DeepEqual(res.X, []float64{0, 1, 1}) {
 		t.Fatalf("knapsack solve: %+v", res)
+	}
+
+	res, err = SolveMILP(m, Options{MaxNodes: 2})
+	if !errors.Is(err, ErrBudget) {
+		t.Fatalf("capped solve: err = %v, want ErrBudget", err)
+	}
+	if res.Status != StatusBudget || res.Guard != guard.StatusMaxIter || res.Nodes != 2 ||
+		res.Objective != -17 || res.BestBound != -20.25 || !reflect.DeepEqual(res.X, []float64{1, 0, 1}) {
+		t.Fatalf("capped knapsack solve: %+v", res)
 	}
 }

@@ -36,7 +36,7 @@ func seededSymmetric(n int, seed uint64) *mat.Matrix {
 
 // TestGoldenTraceMinSDP pins the full Eq. 8 → 9 → 10 lowering of the
 // diagonal-plus-low-rank RMP against the sdp.Problem that
-// relax.DecomposeDiagLowRank historically hand-assembled: C = I, one
+// DecomposeDiagLowRank historically hand-assembled: C = I, one
 // BasisElem pin per off-diagonal entry in (i<j) row-major order, B holding
 // the Rs values verbatim.
 func TestGoldenTraceMinSDP(t *testing.T) {

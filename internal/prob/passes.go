@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/mat"
+	"repro/internal/relax"
 )
 
 // Recovery maps a lowered problem's solution back to the problem the pass
@@ -108,38 +109,11 @@ func RelaxIntegrality(p *Problem) (*Problem, *Recovery, error) {
 	return q, rec, nil
 }
 
-// plane2 is one McCormick envelope plane a·x + b·y + c. The construction
-// mirrors relax.McCormick equation-for-equation (that package remains the
-// documented reference; a cross-check test pins the two equal) but is inlined
-// here so the IR stays a leaf below relax, which itself lowers through prob.
-type plane2 struct{ a, b, c float64 }
-
-// mccormickPlanes returns the two under-estimator and two over-estimator
-// planes of w = x·y over the box [xlo,xhi]×[ylo,yhi].
-func mccormickPlanes(xlo, xhi, ylo, yhi float64) (under, over [2]plane2, err error) {
-	for _, v := range [...]float64{xlo, xhi, ylo, yhi} {
-		if math.IsInf(v, 0) || math.IsNaN(v) {
-			return under, over, fmt.Errorf("%w: mccormick needs finite bounds, got x∈[%g,%g] y∈[%g,%g]", ErrBadProblem, xlo, xhi, ylo, yhi)
-		}
-	}
-	if xlo > xhi || ylo > yhi {
-		return under, over, fmt.Errorf("%w: empty box x∈[%g,%g] y∈[%g,%g]", ErrBadProblem, xlo, xhi, ylo, yhi)
-	}
-	under = [2]plane2{
-		{a: ylo, b: xlo, c: -xlo * ylo}, // w >= ylo·x + xlo·y - xlo·ylo
-		{a: yhi, b: xhi, c: -xhi * yhi}, // w >= yhi·x + xhi·y - xhi·yhi
-	}
-	over = [2]plane2{
-		{a: ylo, b: xhi, c: -xhi * ylo}, // w <= ylo·x + xhi·y - xhi·ylo
-		{a: yhi, b: xlo, c: -xlo * yhi}, // w <= yhi·x + xlo·y - xlo·yhi
-	}
-	return under, over, nil
-}
-
 // McCormick replaces every bilinear equality w = x·y with its four-plane
 // linear envelope over the box of x and y: two convex under-estimator rows
-// w >= plane and two concave over-estimator rows w <= plane. Every bilinear
-// variable triple needs finite bounds on x and y. The recovery restores
+// w >= plane and two concave over-estimator rows w <= plane, the planes of
+// relax.McCormick. Every bilinear variable triple needs finite bounds on x
+// and y (relax.McCormick itself accepts infinite ones). The recovery restores
 // feasibility of the lifted point in the original nonconvex space by
 // recomputing w = x·y exactly.
 func McCormick(p *Problem) (*Problem, *Recovery, error) {
@@ -155,9 +129,15 @@ func McCormick(p *Problem) (*Problem, *Recovery, error) {
 	for i, b := range terms {
 		xlo, xhi := p.Bound(b.X)
 		ylo, yhi := p.Bound(b.Y)
-		under, over, err := mccormickPlanes(xlo, xhi, ylo, yhi)
+		for _, v := range [...]float64{xlo, xhi, ylo, yhi} {
+			if math.IsInf(v, 0) || math.IsNaN(v) {
+				return nil, nil, fmt.Errorf("%w: mccormick term %d (w=x%d·x%d) needs finite bounds, got x∈[%g,%g] y∈[%g,%g]",
+					ErrBadProblem, i, b.X, b.Y, xlo, xhi, ylo, yhi)
+			}
+		}
+		under, over, err := relax.McCormick(relax.Interval{Lo: xlo, Hi: xhi}, relax.Interval{Lo: ylo, Hi: yhi})
 		if err != nil {
-			return nil, nil, fmt.Errorf("prob: mccormick term %d (w=x%d·x%d): %w", i, b.X, b.Y, err)
+			return nil, nil, fmt.Errorf("%w: mccormick term %d (w=x%d·x%d): %w", ErrBadProblem, i, b.X, b.Y, err)
 		}
 		// Under-estimators: w >= a·x + b·y + c  ⇒  w - a·x - b·y >= c.
 		for _, pl := range under {
@@ -180,12 +160,12 @@ func McCormick(p *Problem) (*Problem, *Recovery, error) {
 }
 
 // envelopeRow encodes w - a·x - b·y (sense) c for one McCormick plane.
-func envelopeRow(n int, b Bilinear, pl plane2, sense Sense) LinCon {
+func envelopeRow(n int, b Bilinear, pl relax.Affine2, sense Sense) LinCon {
 	row := make([]float64, n)
 	row[b.W] = 1
-	row[b.X] -= pl.a
-	row[b.Y] -= pl.b
-	return LinCon{Coeffs: row, Sense: sense, RHS: pl.c}
+	row[b.X] -= pl.A
+	row[b.Y] -= pl.B
+	return LinCon{Coeffs: row, Sense: sense, RHS: pl.C}
 }
 
 // LiftRank lifts a continuous, equality-constrained QCQP (Eq. 7) to the

@@ -69,11 +69,10 @@ func TestValidateRejects(t *testing.T) {
 	}
 }
 
-// TestMcCormickMatchesRelax pins the promise in passes.go: the inlined
-// envelope construction is equation-for-equation identical to the documented
-// reference relax.McCormick. Each of the four planes a·x + b·y + c must
-// reappear as the IR row w - a·x - b·y (sense) c with bitwise-equal
-// coefficients.
+// TestMcCormickMatchesRelax pins the pass's row translation of the
+// relax.McCormick envelopes: each of the four planes a·x + b·y + c must
+// reappear, in order, as the IR row w - a·x - b·y (sense) c with
+// bitwise-equal coefficients.
 func TestMcCormickMatchesRelax(t *testing.T) {
 	boxes := []struct{ xlo, xhi, ylo, yhi float64 }{
 		{0, 1, 0, 1},
@@ -122,11 +121,18 @@ func TestMcCormickMatchesRelax(t *testing.T) {
 			t.Errorf("box %+v: recovery w = %g, want %g", bx, got, want)
 		}
 	}
-	// Infinite bounds on a bilinear factor must be rejected, mirroring
-	// relax.ErrBadInterval's finite-box requirement.
+	// Infinite bounds on a bilinear factor must be rejected by the pass
+	// itself: relax.McCormick accepts them and would emit Inf coefficients.
 	bad := &prob.Problem{NumVars: 3, Bilin: []prob.Bilinear{{W: 2, X: 0, Y: 1}}}
 	if _, _, err := prob.McCormick(bad); !errors.Is(err, prob.ErrBadProblem) {
 		t.Fatalf("unbounded factor: err = %v, want ErrBadProblem", err)
+	}
+	// An empty factor box is relax.McCormick's refusal, typed as a bad
+	// problem.
+	empty := &prob.Problem{NumVars: 3, Lo: []float64{1, 0, math.Inf(-1)}, Hi: []float64{0, 1, math.Inf(1)},
+		Bilin: []prob.Bilinear{{W: 2, X: 0, Y: 1}}}
+	if _, _, err := prob.McCormick(empty); !errors.Is(err, prob.ErrBadProblem) || !errors.Is(err, relax.ErrBadInterval) {
+		t.Fatalf("empty factor box: err = %v, want ErrBadProblem and relax.ErrBadInterval", err)
 	}
 }
 

@@ -1,13 +1,14 @@
 package qos
 
-// Exported column-model handle for the distributed solve path (DESIGN.md
-// §16). The coordinator in internal/dist ships the column-selection MILP IR
-// to worker processes and decodes the returned 0/1 vector back into an
-// Allocation on its own side of the trust boundary — which needs the column
-// enumeration (stable (user, rb, level) order) without re-exporting the
-// solver rungs themselves. Columns is a thin view over the same
-// columnModel/greedyIncumbent internals the in-process ladder uses, so the
-// remote and local formulations can never drift apart.
+// The column-selection model of the discretized RRA: the one formulation
+// the exact rung (SolveExact), the relaxed rung (SolveRelaxed), the ladder
+// (SolveRobust) and the distributed solve path (DESIGN.md §16) all solve.
+// The coordinator in internal/dist ships the IR to worker processes and
+// decodes the returned 0/1 vector back into an Allocation on its own side
+// of the trust boundary — which needs the column enumeration (stable
+// (user, rb, level) order) without re-exporting the solver rungs
+// themselves. Every caller goes through Columns, so the remote and local
+// formulations can never drift apart.
 
 import (
 	"fmt"
@@ -15,15 +16,28 @@ import (
 	"repro/internal/prob"
 )
 
+// column is one admissible (user, rb, level) assignment.
+type column struct {
+	u, rb, level int
+	rate         float64
+}
+
 // Columns binds a problem to its column-selection MILP: the IR to solve and
 // the enumeration needed to interpret its variables.
 type Columns struct {
 	p    *Problem
-	cols []milpColumn
-	// IR is the column-selection MILP as a prob.Problem, exactly the model
-	// SolveExact lowers: one binary variable per admissible (user, rb,
-	// level) column, one-column-per-RB rows, per-user power and min-rate
-	// rows. Callers must treat it as read-only.
+	cols []column
+	// IR is the column-selection MILP as a prob.Problem:
+	//
+	//	max  Σ rate_c x_c
+	//	s.t. Σ_{c on rb} x_c <= 1            (one user+level per block)
+	//	     Σ_{c of u} P_c x_c <= budget    (per-user power)
+	//	     Σ_{c of u} rate_c x_c >= minRate(u)
+	//
+	// one binary variable per admissible column. Compilation negates the
+	// objective into the backends' minimize form, producing a MILP
+	// element-identical to the historically hand-built one (pinned by the
+	// golden tests). Callers must treat it as read-only.
 	IR *prob.Problem
 }
 
@@ -35,8 +49,65 @@ func (p *Problem) ColumnModel() (*Columns, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	cols, ir := p.columnModel()
-	return &Columns{p: p, cols: cols, IR: ir}, nil
+	return p.columns(), nil
+}
+
+// columns builds the column model of an already-validated problem.
+func (p *Problem) columns() *Columns {
+	var cols []column
+	for u := range p.Users {
+		for rb := 0; rb < p.Inst.Params.NumRBs; rb++ {
+			for li, l := range p.Levels {
+				if !p.allowed(u, rb, l) {
+					continue
+				}
+				cols = append(cols, column{u: u, rb: rb, level: li, rate: p.Inst.RateBps(u, rb, l)})
+			}
+		}
+	}
+	n := len(cols)
+	ir := &prob.Problem{
+		NumVars: n,
+		Obj:     prob.Objective{Maximize: true, Lin: make([]float64, n)},
+		Lo:      make([]float64, n),
+		Hi:      make([]float64, n),
+		Integer: make([]int, n),
+	}
+	for i, c := range cols {
+		ir.Obj.Lin[i] = c.rate
+		ir.Hi[i] = 1
+		ir.Integer[i] = i
+	}
+	// One column per RB.
+	for rb := 0; rb < p.Inst.Params.NumRBs; rb++ {
+		row := make([]float64, n)
+		any := false
+		for i, c := range cols {
+			if c.rb == rb {
+				row[i] = 1
+				any = true
+			}
+		}
+		if any {
+			ir.Lin = append(ir.Lin, prob.LinCon{Coeffs: row, Sense: prob.LE, RHS: 1})
+		}
+	}
+	// Per-user power budget and minimum rate.
+	for u := range p.Users {
+		pRow := make([]float64, n)
+		rRow := make([]float64, n)
+		for i, c := range cols {
+			if c.u == u {
+				pRow[i] = p.Levels[c.level]
+				rRow[i] = c.rate
+			}
+		}
+		ir.Lin = append(ir.Lin,
+			prob.LinCon{Coeffs: pRow, Sense: prob.LE, RHS: p.PowerBudgetW},
+			prob.LinCon{Coeffs: rRow, Sense: prob.GE, RHS: p.Reqs[p.Users[u].Class].MinRateBps},
+		)
+	}
+	return &Columns{p: p, cols: cols, IR: ir}
 }
 
 // Len returns the number of admissible columns (IR variables).
@@ -67,5 +138,34 @@ func (c *Columns) Allocation(x []float64) (*Allocation, error) {
 // keeps remote and local-fallback branch-and-bound runs bit-identical: both
 // prune from the same incumbent.
 func (c *Columns) GreedyIncumbent() ([]float64, bool) {
-	return c.p.greedyIncumbent(c.cols)
+	p := c.p
+	alloc, err := p.SolveGreedy()
+	if err != nil {
+		return nil, false
+	}
+	rep, err := p.Evaluate(alloc)
+	if err != nil || !rep.AllQoSMet {
+		return nil, false
+	}
+	x := make([]float64, len(c.cols))
+	matched := 0
+	needed := 0
+	for rb, u := range alloc.UserOf {
+		if u < 0 {
+			continue
+		}
+		needed++
+		for i, col := range c.cols {
+			//lint:ignore floateq PowerW is copied verbatim from p.Levels in discretize; bitwise re-identification is intended
+			if col.rb == rb && col.u == u && p.Levels[col.level] == alloc.PowerW[rb] {
+				x[i] = 1
+				matched++
+				break
+			}
+		}
+	}
+	if matched != needed {
+		return nil, false // greedy used a power outside the level grid
+	}
+	return x, true
 }

@@ -10,14 +10,15 @@ import (
 )
 
 // TestGoldenColumnModelMILP pins the IR migration's bit-faithfulness on a
-// seeded RRA instance: compiling columnModel through prob must reproduce,
+// seeded RRA instance: compiling the column model through prob must reproduce,
 // element for element, the minlp.MILP the seed implementation hand-built
 // (negated maximize objective, identical row order, identical bounds and
 // integrality list). Exact == comparisons throughout — any numeric drift
 // here would silently change EXPERIMENTS.md numbers.
 func TestGoldenColumnModelMILP(t *testing.T) {
 	p := smallProblem(t, 8)
-	cols, ir := p.columnModel()
+	cm := p.columns()
+	cols, ir := cm.cols, cm.IR
 	got, err := ir.MILP()
 	if err != nil {
 		t.Fatal(err)

@@ -182,7 +182,7 @@ func TestClassStringer(t *testing.T) {
 
 func TestURLLCSNRFloorFiltersColumns(t *testing.T) {
 	p := smallProblem(t, 10)
-	cols := p.milpColumns()
+	cols := p.columns().cols
 	for _, c := range cols {
 		if p.Users[c.u].Class == ClassURLLC {
 			snrDB := 10 * math.Log10(p.Inst.SNR(c.u, c.rb, p.Levels[c.level]))

@@ -45,17 +45,16 @@ func (p *Problem) SolveRelaxed(b guard.Budget) (*Allocation, *RelaxedResult, err
 	if err := p.Validate(); err != nil {
 		return nil, nil, err
 	}
-	cols, ir := p.columnModel()
-	return p.solveRelaxedIR(cols, ir, b, nil, nil)
+	return p.columns().solveRelaxed(b, nil, nil)
 }
 
-// solveRelaxedIR runs the relaxed rung on an already-built column model. The
-// Eq. 7 move is the explicit prob.RelaxIntegrality pass; its Recovery is
-// deliberately dropped — its nearest-integer rounding is not what this rung
-// wants, since the deterministic largest-weight rounding plus power repair
-// below needs the fractional LP weights.
-func (p *Problem) solveRelaxedIR(cols []milpColumn, ir *prob.Problem, b guard.Budget, cache *prob.Cache, tamper func(*prob.Result)) (*Allocation, *RelaxedResult, error) {
-	relaxed, _, err := prob.RelaxIntegrality(ir)
+// solveRelaxed runs the relaxed rung on the column model. The Eq. 7 move is
+// the explicit prob.RelaxIntegrality pass; its Recovery is deliberately
+// dropped — its nearest-integer rounding is not what this rung wants, since
+// the deterministic largest-weight rounding plus power repair below needs
+// the fractional LP weights.
+func (c *Columns) solveRelaxed(b guard.Budget, cache *prob.Cache, tamper func(*prob.Result)) (*Allocation, *RelaxedResult, error) {
+	relaxed, _, err := prob.RelaxIntegrality(c.IR)
 	if err != nil {
 		return nil, nil, fmt.Errorf("qos: relaxed solve: %w", err)
 	}
@@ -77,16 +76,17 @@ func (p *Problem) solveRelaxedIR(cols []milpColumn, ir *prob.Problem, b guard.Bu
 
 	// Rounding: per block, the column with the largest fractional weight
 	// (ties broken by column order — deterministic).
+	p := c.p
 	nRB := p.Inst.Params.NumRBs
 	bestCol := make([]int, nRB)
 	bestW := make([]float64, nRB)
 	for i := range bestCol {
 		bestCol[i] = -1
 	}
-	for i, c := range cols {
-		if w := res.X[i]; w > bestW[c.rb]+1e-12 {
-			bestW[c.rb] = w
-			bestCol[c.rb] = i
+	for i, col := range c.cols {
+		if w := res.X[i]; w > bestW[col.rb]+1e-12 {
+			bestW[col.rb] = w
+			bestCol[col.rb] = i
 		}
 	}
 	alloc := NewAllocation(nRB)
@@ -100,11 +100,11 @@ func (p *Problem) solveRelaxedIR(cols []milpColumn, ir *prob.Problem, b guard.Bu
 		if i < 0 || bestW[rb] < 1e-6 {
 			continue
 		}
-		c := cols[i]
-		alloc.UserOf[rb] = c.u
-		alloc.PowerW[rb] = p.Levels[c.level]
-		usedPower[c.u] += p.Levels[c.level]
-		perUser[c.u] = append(perUser[c.u], pick{rb, c.rate})
+		col := c.cols[i]
+		alloc.UserOf[rb] = col.u
+		alloc.PowerW[rb] = p.Levels[col.level]
+		usedPower[col.u] += p.Levels[col.level]
+		perUser[col.u] = append(perUser[col.u], pick{rb, col.rate})
 	}
 	// Repair: rounding can overshoot a user's power budget; shed that
 	// user's lowest-rate blocks until feasible.
@@ -172,6 +172,19 @@ type Degradation struct {
 
 // Degraded reports whether service degraded below the exact solver.
 func (d *Degradation) Degraded() bool { return d.Final != RungExact }
+
+// Status is the ladder's verdict: Converged when the exact rung was
+// accepted (it is only with every QoS contract met), otherwise the accepted
+// rung's typed cause; Diverged for an empty trail.
+func (d *Degradation) Status() guard.Status {
+	if len(d.Rungs) == 0 {
+		return guard.StatusDiverged
+	}
+	if !d.Degraded() {
+		return guard.StatusConverged
+	}
+	return d.Rungs[len(d.Rungs)-1].Status
+}
 
 // String renders the report, one rung per line.
 func (d *Degradation) String() string {
@@ -268,7 +281,7 @@ func (p *Problem) SolveRobust(o RobustOptions) (*Allocation, *Report, *Degradati
 	mon := o.Budget.Start()
 	// One column model for the whole ladder: the exact and relaxed rungs
 	// solve the same IR (modulo the Eq. 7 integrality drop).
-	cols, ir := p.columnModel()
+	cm := p.columns()
 
 	// score evaluates a rung's allocation; a nil report means unusable.
 	score := func(a *Allocation) *Report {
@@ -323,7 +336,7 @@ func (p *Problem) SolveRobust(o RobustOptions) (*Allocation, *Report, *Degradati
 
 	// Rung 1: exact branch and bound.
 	if !gated(RungExact) && !interrupted(RungExact) {
-		alloc, sol, err := p.solveExactIR(cols, ir, minlp.Options{MaxNodes: o.MaxNodes, Budget: o.Budget}, o.Cache, o.Tamper)
+		alloc, sol, err := cm.solveExact(minlp.Options{MaxNodes: o.MaxNodes, Budget: o.Budget}, o.Cache, o.Tamper)
 		rr := RungReport{Attempts: 1}
 		if sol != nil && sol.MILP != nil {
 			rr.Status = sol.MILP.Guard
@@ -352,7 +365,7 @@ func (p *Problem) SolveRobust(o RobustOptions) (*Allocation, *Report, *Degradati
 	// Rung 2: LP relaxation + deterministic rounding (the MILP → LP move of
 	// the paper's relaxed verifiers).
 	if !gated(RungRelaxed) && !interrupted(RungRelaxed) {
-		alloc, res, err := p.solveRelaxedIR(cols, ir, o.Budget, o.Cache, o.Tamper)
+		alloc, res, err := cm.solveRelaxed(o.Budget, o.Cache, o.Tamper)
 		rr := RungReport{Attempts: 1}
 		if res != nil {
 			rr.Status = res.Guard

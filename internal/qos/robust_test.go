@@ -224,3 +224,55 @@ func TestDegradationString(t *testing.T) {
 		}
 	}
 }
+
+// TestDegradationStatus pins the ladder's verdict: Converged when the exact
+// rung was accepted — even from an incumbent its timed-out search left
+// behind — and otherwise the accepted rung's typed cause, whatever the
+// rejected rungs before it reported.
+func TestDegradationStatus(t *testing.T) {
+	rejected := func(r Rung, st guard.Status) RungReport { return RungReport{Rung: r, Status: st, Attempts: 1} }
+	accepted := func(r Rung, st guard.Status) RungReport {
+		return RungReport{Rung: r, Status: st, Attempts: 1, Accepted: true, AllQoSMet: st == guard.StatusConverged}
+	}
+	cases := []struct {
+		name  string
+		rungs []RungReport
+		want  guard.Status
+	}{
+		{"exact", []RungReport{accepted(RungExact, guard.StatusConverged)}, guard.StatusConverged},
+		{"exact from timed-out incumbent", []RungReport{
+			{Rung: RungExact, Status: guard.StatusTimeout, Attempts: 1, Accepted: true, AllQoSMet: true},
+		}, guard.StatusConverged},
+		{"relaxed", []RungReport{
+			rejected(RungExact, guard.StatusMaxIter),
+			accepted(RungRelaxed, guard.StatusConverged),
+		}, guard.StatusConverged},
+		{"pso", []RungReport{
+			rejected(RungExact, guard.StatusTimeout),
+			rejected(RungRelaxed, guard.StatusDiverged),
+			accepted(RungPSO, guard.StatusConverged),
+		}, guard.StatusConverged},
+		{"greedy", []RungReport{
+			rejected(RungExact, guard.StatusMaxIter),
+			rejected(RungRelaxed, guard.StatusDiverged),
+			rejected(RungPSO, guard.StatusDiverged),
+			accepted(RungGreedy, guard.StatusConverged),
+		}, guard.StatusConverged},
+		{"greedy with QoS shortfall", []RungReport{
+			{Rung: RungExact, Status: guard.StatusCanceled, Detail: "skipped: rung gated"},
+			{Rung: RungRelaxed, Status: guard.StatusTimeout, Detail: "skipped: ladder budget exhausted"},
+			{Rung: RungPSO, Status: guard.StatusTimeout, Detail: "skipped: ladder budget exhausted"},
+			accepted(RungGreedy, guard.StatusInfeasible),
+		}, guard.StatusInfeasible},
+		{"empty trail", nil, guard.StatusDiverged},
+	}
+	for _, c := range cases {
+		d := &Degradation{Rungs: c.rungs}
+		if n := len(c.rungs); n > 0 {
+			d.Final = c.rungs[n-1].Rung
+		}
+		if got := d.Status(); got != c.want {
+			t.Errorf("%s: Status() = %v, want %v\n%s", c.name, got, c.want, d)
+		}
+	}
+}

@@ -105,95 +105,14 @@ func (p *Problem) SolveGreedy() (*Allocation, error) {
 	return alloc, nil
 }
 
-// milpColumns enumerates the admissible (user, rb, level) columns.
-type milpColumn struct {
-	u, rb, level int
-	rate         float64
-}
-
-func (p *Problem) milpColumns() []milpColumn {
-	var cols []milpColumn
-	for u := range p.Users {
-		for rb := 0; rb < p.Inst.Params.NumRBs; rb++ {
-			for li, l := range p.Levels {
-				if !p.allowed(u, rb, l) {
-					continue
-				}
-				cols = append(cols, milpColumn{u: u, rb: rb, level: li, rate: p.Inst.RateBps(u, rb, l)})
-			}
-		}
-	}
-	return cols
-}
-
 // SolveExact solves the discretized RRA exactly by branch and bound over
-// the binary column-selection MILP:
-//
-//	max  Σ rate_c x_c
-//	s.t. Σ_{c on rb} x_c <= 1            (one user+level per block)
-//	     Σ_{c of u} P_c x_c <= budget    (per-user power)
-//	     Σ_{c of u} rate_c x_c >= minRate(u)
-//
-// columnModel states the column-selection RRA as a prob.Problem — the IR
-// whose MILP lowering is shared by the exact (BnB) and relaxed (LP +
-// rounding) solvers. The objective is the natural maximize over positive
-// rates; compilation negates it into the backends' minimize form, producing
-// a MILP element-identical to the historically hand-built one (pinned by
-// the golden tests).
-func (p *Problem) columnModel() ([]milpColumn, *prob.Problem) {
-	cols := p.milpColumns()
-	n := len(cols)
-	ir := &prob.Problem{
-		NumVars: n,
-		Obj:     prob.Objective{Maximize: true, Lin: make([]float64, n)},
-		Lo:      make([]float64, n),
-		Hi:      make([]float64, n),
-		Integer: make([]int, n),
-	}
-	for i, c := range cols {
-		ir.Obj.Lin[i] = c.rate
-		ir.Hi[i] = 1
-		ir.Integer[i] = i
-	}
-	// One column per RB.
-	for rb := 0; rb < p.Inst.Params.NumRBs; rb++ {
-		row := make([]float64, n)
-		any := false
-		for i, c := range cols {
-			if c.rb == rb {
-				row[i] = 1
-				any = true
-			}
-		}
-		if any {
-			ir.Lin = append(ir.Lin, prob.LinCon{Coeffs: row, Sense: prob.LE, RHS: 1})
-		}
-	}
-	// Per-user power budget and minimum rate.
-	for u := range p.Users {
-		pRow := make([]float64, n)
-		rRow := make([]float64, n)
-		for i, c := range cols {
-			if c.u == u {
-				pRow[i] = p.Levels[c.level]
-				rRow[i] = c.rate
-			}
-		}
-		ir.Lin = append(ir.Lin,
-			prob.LinCon{Coeffs: pRow, Sense: prob.LE, RHS: p.PowerBudgetW},
-			prob.LinCon{Coeffs: rRow, Sense: prob.GE, RHS: p.Reqs[p.Users[u].Class].MinRateBps},
-		)
-	}
-	return cols, ir
-}
-
-// Returns the allocation, its report, and BnB statistics.
+// the binary column-selection MILP (see Columns.IR). Returns the
+// allocation and the BnB statistics.
 func (p *Problem) SolveExact(o minlp.Options) (*Allocation, *minlp.Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, nil, err
 	}
-	cols, ir := p.columnModel()
-	alloc, sol, err := p.solveExactIR(cols, ir, o, nil, nil)
+	alloc, sol, err := p.columns().solveExact(o, nil, nil)
 	var res *minlp.Result
 	if sol != nil {
 		res = sol.MILP
@@ -201,11 +120,11 @@ func (p *Problem) SolveExact(o minlp.Options) (*Allocation, *minlp.Result, error
 	return alloc, res, err
 }
 
-// solveExactIR runs the exact rung on an already-built column model,
-// optionally sharing a lowering/warm-start cache with other rungs or batch
-// instances. The full prob.Result is returned (not just the BnB statistics)
-// so ladder callers can audit the a-posteriori certificate verdict.
-func (p *Problem) solveExactIR(cols []milpColumn, ir *prob.Problem, o minlp.Options, cache *prob.Cache, tamper func(*prob.Result)) (*Allocation, *prob.Result, error) {
+// solveExact runs the exact rung on the column model, optionally sharing a
+// compiled-forms cache with other rungs or batch instances. The full
+// prob.Result is returned (not just the BnB statistics) so ladder callers
+// can audit the a-posteriori certificate verdict.
+func (c *Columns) solveExact(o minlp.Options, cache *prob.Cache, tamper func(*prob.Result)) (*Allocation, *prob.Result, error) {
 	po := prob.Options{
 		Budget:    o.Budget,
 		MaxNodes:  o.MaxNodes,
@@ -220,11 +139,11 @@ func (p *Problem) solveExactIR(cols []milpColumn, ir *prob.Problem, o minlp.Opti
 	// incumbent so dominated subtrees are pruned from the first node
 	// (prob.Solve verifies feasibility and computes the backend objective).
 	if po.Incumbent == nil {
-		if x0, ok := p.greedyIncumbent(cols); ok {
+		if x0, ok := c.GreedyIncumbent(); ok {
 			po.Incumbent = x0
 		}
 	}
-	sol, err := prob.Solve(ir, po)
+	sol, err := prob.Solve(c.IR, po)
 	var res *minlp.Result
 	if sol != nil {
 		res = sol.MILP
@@ -238,48 +157,8 @@ func (p *Problem) solveExactIR(cols []milpColumn, ir *prob.Problem, o minlp.Opti
 	if res == nil || res.X == nil || (res.Status != minlp.StatusOptimal && res.Status != minlp.StatusBudget) {
 		return nil, sol, nil
 	}
-	alloc := NewAllocation(p.Inst.Params.NumRBs)
-	for i, c := range cols {
-		if res.X[i] > 0.5 {
-			alloc.UserOf[c.rb] = c.u
-			alloc.PowerW[c.rb] = p.Levels[c.level]
-		}
-	}
-	return alloc, sol, nil
-}
-
-// greedyIncumbent maps the greedy allocation onto the MILP columns and
-// returns it when it satisfies every QoS/budget/SNR constraint.
-func (p *Problem) greedyIncumbent(cols []milpColumn) ([]float64, bool) {
-	alloc, err := p.SolveGreedy()
-	if err != nil {
-		return nil, false
-	}
-	rep, err := p.Evaluate(alloc)
-	if err != nil || !rep.AllQoSMet {
-		return nil, false
-	}
-	x := make([]float64, len(cols))
-	matched := 0
-	needed := 0
-	for rb, u := range alloc.UserOf {
-		if u < 0 {
-			continue
-		}
-		needed++
-		for i, c := range cols {
-			//lint:ignore floateq PowerW is copied verbatim from p.Levels in discretize; bitwise re-identification is intended
-			if c.rb == rb && c.u == u && p.Levels[c.level] == alloc.PowerW[rb] {
-				x[i] = 1
-				matched++
-				break
-			}
-		}
-	}
-	if matched != needed {
-		return nil, false // greedy used a power outside the level grid
-	}
-	return x, true
+	alloc, err := c.Allocation(res.X)
+	return alloc, sol, err
 }
 
 // SolvePSO solves the discretized RRA with particle swarm optimization:

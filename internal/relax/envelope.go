@@ -2,9 +2,10 @@
 // the paper's RCR framework: convex under-estimators and concave
 // over-estimators (envelopes) for the nonlinear atoms that appear in the
 // QoS MINLPs and in neural-network verification — bilinear terms
-// (McCormick), squares, and the ReLU "triangle" relaxation — plus the
-// rank-minimization → trace-minimization → SDP pipeline of the paper's
-// Eqs. 8–10.
+// (McCormick), squares, and the ReLU "triangle" relaxation. It is a leaf:
+// internal/prob's McCormick pass builds its rows from these envelopes, and
+// the rank-minimization → trace-minimization → SDP pipeline of the paper's
+// Eqs. 8–10 lives in internal/prob (DecomposeDiagLowRank).
 package relax
 
 import (

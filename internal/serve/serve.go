@@ -43,7 +43,6 @@ import (
 	"repro/internal/prob"
 	"repro/internal/pso"
 	"repro/internal/qos"
-	"repro/internal/rng"
 )
 
 // Request is one allocation job.
@@ -55,8 +54,8 @@ type Request struct {
 	Class qos.Class
 	// Problem is the RRA instance to solve.
 	Problem *qos.Problem
-	// Seed drives every random draw of the solve (PSO restarts, retry
-	// perturbations). Identical (Problem, Seed) → bit-identical allocation.
+	// Seed drives every random draw of the solve (the PSO rung's perturbed
+	// restarts). Identical (Problem, Seed) → bit-identical allocation.
 	Seed uint64
 	// Ctx, when non-nil, lets the client cancel or deadline the request;
 	// cancellation surfaces as a typed OutcomeCanceled response.
@@ -69,8 +68,9 @@ type Request struct {
 type Response struct {
 	ID      uint64
 	Outcome Outcome
-	// Status is the typed solver termination cause behind the outcome
-	// (Converged for served, the failing cause otherwise).
+	// Status is the typed cause behind the outcome: the ladder's verdict
+	// Deg.Status() (Converged for served), or the client's cause when its
+	// context died mid-solve.
 	Status guard.Status
 	// Alloc/Report carry the allocation when one was produced — degraded
 	// outcomes still carry the best allocation found.
@@ -106,13 +106,6 @@ type Config struct {
 	BreakerCooldown  int
 	// Budgets overrides the per-class default budgets (DefaultBudgets).
 	Budgets map[qos.Class]guard.Budget
-	// RetryAttempts re-runs a solve whose ladder diverged, with capped
-	// seeded-jitter backoff between attempts (default 1 = no retry).
-	// Attempt 0 always uses the request seed, so retries never change the
-	// answer of a healthy solve.
-	RetryAttempts int
-	RetryBackoff  time.Duration
-	RetryJitter   float64
 	// PSO configures the ladder's metaheuristic rung (default: small swarm
 	// sized for interactive deadlines).
 	PSO pso.Options
@@ -158,9 +151,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = 8
-	}
-	if c.RetryAttempts <= 0 {
-		c.RetryAttempts = 1
 	}
 	if c.PSO.Swarm == 0 && c.PSO.MaxIter == 0 {
 		c.PSO = pso.Options{Swarm: 15, MaxIter: 60}
@@ -503,10 +493,10 @@ func (s *Server) budgetFor(req Request) guard.Budget {
 	return b
 }
 
-// solve runs the ladder for one request under its resolved budget, with
-// panic recovery (a crashed solve becomes a typed diverged response — the
-// process never dies), breaker gating/recording, and the configured
-// diverged-retry policy.
+// solve runs the ladder once for one request under its resolved budget,
+// with panic recovery (a crashed solve becomes a typed diverged response —
+// the process never dies) and breaker gating/recording. The ladder always
+// answers, so there is nothing to retry: its verdict is Deg.Status().
 func (s *Server) solve(req Request, budget guard.Budget) (resp Response) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -520,48 +510,22 @@ func (s *Server) solve(req Request, budget guard.Budget) (resp Response) {
 		br := s.breakers[r]
 		return br == nil || br.Allow()
 	}
-	var alloc *qos.Allocation
-	var rep *qos.Report
-	var deg *qos.Degradation
-	var solveErr error
-	st, _ := guard.Retry(guard.RetryOptions{
-		Attempts: s.cfg.RetryAttempts,
+	alloc, rep, deg, err := req.Problem.SolveRobust(qos.RobustOptions{
+		Budget:   budget,
 		Seed:     req.Seed,
-		Backoff:  s.cfg.RetryBackoff,
-		Jitter:   s.cfg.RetryJitter,
-		RetryOn:  func(st guard.Status) bool { return st == guard.StatusDiverged },
-	}, func(try int, r *rng.Rand) guard.Status {
-		// Attempt 0 always solves with the request seed so healthy solves
-		// are bit-identical whether or not retries are configured; retries
-		// of a diverged solve draw fresh seeds from their attempt stream.
-		seed := req.Seed
-		if try > 0 {
-			seed = r.Uint64()
-		}
-		alloc, rep, deg, solveErr = req.Problem.SolveRobust(qos.RobustOptions{
-			Budget:   budget,
-			Seed:     seed,
-			Cache:    s.cache,
-			RungGate: gate,
-			Tamper:   s.cfg.Tamper,
-			PSO:      s.cfg.PSO,
-		})
-		s.recordBreakers(deg)
-		if solveErr != nil {
-			return guard.StatusOK // hard error: not retryable, classified below
-		}
-		return ladderStatus(rep, deg)
+		Cache:    s.cache,
+		RungGate: gate,
+		Tamper:   s.cfg.Tamper,
+		PSO:      s.cfg.PSO,
 	})
-	if solveErr != nil {
-		if cause, ok := guard.AsStatus(solveErr); ok {
-			return Response{ID: req.ID, Outcome: OutcomeForStatus(cause), Status: cause, Err: solveErr}
+	s.recordBreakers(deg)
+	if err != nil {
+		if cause, ok := guard.AsStatus(err); ok {
+			return Response{ID: req.ID, Outcome: OutcomeForStatus(cause), Status: cause, Err: err}
 		}
-		return Response{ID: req.ID, Outcome: OutcomeError, Err: solveErr}
+		return Response{ID: req.ID, Outcome: OutcomeError, Err: err}
 	}
-	resp = Response{ID: req.ID, Status: st, Alloc: alloc, Report: rep, Deg: deg}
-	if deg != nil {
-		resp.Rung = deg.Final
-	}
+	resp = Response{ID: req.ID, Status: deg.Status(), Alloc: alloc, Report: rep, Rung: deg.Final, Deg: deg}
 	// A request whose client context died mid-solve is classified by the
 	// client's cause, not by how far the ladder limped: the (greedy) answer
 	// still rides along, but the outcome says nobody is waiting for it.
@@ -575,25 +539,13 @@ func (s *Server) solve(req Request, budget guard.Budget) (resp Response) {
 		resp.Err = guard.Err(cause, "client context: %v", req.Ctx.Err())
 		return resp
 	}
-	if st == guard.StatusConverged && rep != nil && rep.AllQoSMet && deg != nil && !deg.Degraded() {
-		resp.Outcome = OutcomeServed
-	} else {
+	// The exact rung is accepted only with every QoS contract met, so an
+	// undegraded ladder is a served answer.
+	resp.Outcome = OutcomeServed
+	if deg.Degraded() {
 		resp.Outcome = OutcomeDegraded
 	}
 	return resp
-}
-
-// ladderStatus reduces a completed ladder to one typed status, mirroring
-// qossolver's classification: a non-degraded all-QoS answer is Converged;
-// otherwise the last rung's typed cause stands.
-func ladderStatus(rep *qos.Report, deg *qos.Degradation) guard.Status {
-	if deg == nil || len(deg.Rungs) == 0 {
-		return guard.StatusDiverged
-	}
-	if rep != nil && rep.AllQoSMet && !deg.Degraded() {
-		return guard.StatusConverged
-	}
-	return deg.Rungs[len(deg.Rungs)-1].Status
 }
 
 // recordBreakers feeds a ladder trail back into the per-rung breakers:

@@ -336,6 +336,45 @@ func TestServerDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestServerVerdictIsLadderStatus: over the determinism workload at 1 and 8
+// workers — once under the roomy eval budgets and once under a one-eval
+// cap that stops every budgeted rung early — every live-context response
+// is served exactly when the exact rung was accepted, and its Status is the
+// ladder's own verdict, Deg.Status().
+func TestServerVerdictIsLadderStatus(t *testing.T) {
+	outcomes := map[serve.Outcome]int{}
+	for _, workers := range []int{1, 8} {
+		for _, b := range []guard.Budget{{}, {MaxEvals: 1}} {
+			s := serve.New(serve.Config{Workers: workers, Budgets: evalBudgets()})
+			var chans []<-chan serve.Response
+			for _, seed := range []uint64{3, 8, 11} {
+				p := testProblem(t, seed)
+				for _, cl := range []qos.Class{qos.ClassURLLC, qos.ClassEMBB, qos.ClassMMTC} {
+					chans = append(chans, s.Submit(serve.Request{ID: seed, Class: cl, Problem: p, Seed: seed, Budget: b}))
+				}
+			}
+			for _, ch := range chans {
+				resp := <-ch
+				if resp.Deg == nil {
+					t.Fatalf("workers=%d budget %+v: request %d ran no ladder: %+v", workers, b, resp.ID, resp)
+				}
+				if served, exact := resp.Outcome == serve.OutcomeServed, resp.Rung == qos.RungExact; served != exact {
+					t.Errorf("workers=%d budget %+v: request %d outcome %v on rung %q", workers, b, resp.ID, resp.Outcome, resp.Rung)
+				}
+				if resp.Status != resp.Deg.Status() {
+					t.Errorf("workers=%d budget %+v: request %d status %v, ladder verdict %v", workers, b, resp.ID, resp.Status, resp.Deg.Status())
+				}
+				outcomes[resp.Outcome]++
+			}
+			s.Close()
+		}
+	}
+	// Both sides of the equivalence must actually be exercised.
+	if outcomes[serve.OutcomeServed] == 0 || outcomes[serve.OutcomeDegraded] == 0 {
+		t.Fatalf("outcomes %v: want both served and degraded responses", outcomes)
+	}
+}
+
 // TestServerBatchMatchesIndividual: mMTC coalescing shares deadline budget,
 // never answers — each batched member's allocation is bit-identical to the
 // same request solved alone.

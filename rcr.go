@@ -31,6 +31,7 @@ package rcr
 import (
 	"repro/internal/core"
 	"repro/internal/minlp"
+	"repro/internal/prob"
 	"repro/internal/pso"
 	"repro/internal/qos"
 	"repro/internal/qp"
@@ -120,7 +121,7 @@ var McCormick = relax.McCormick
 // DecomposeDiagLowRank runs the paper's Eq. 8-10 pipeline: the rank
 // objective relaxed to trace and solved as an SDP, splitting a symmetric
 // matrix into diagonal plus low-rank PSD parts.
-var DecomposeDiagLowRank = relax.DecomposeDiagLowRank
+var DecomposeDiagLowRank = prob.DecomposeDiagLowRank
 
 // QCQP is the paper's Eq. 7 problem class; solve with SolveQCQP.
 type QCQP = qp.Problem

@@ -6,7 +6,7 @@ import (
 
 	"repro"
 	"repro/internal/mat"
-	"repro/internal/relax"
+	"repro/internal/prob"
 	"repro/internal/verify"
 )
 
@@ -82,7 +82,7 @@ func TestFacadeRelaxationTools(t *testing.T) {
 	rs := mat.OuterProduct(v, v)
 	rs.Add(0, 0, 0.5)
 	rs.Add(1, 1, 0.5)
-	dec, err := rcr.DecomposeDiagLowRank(rs, relax.TraceMinOptions{})
+	dec, err := rcr.DecomposeDiagLowRank(rs, prob.TraceMinOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
