@@ -69,7 +69,6 @@ type options struct {
 	burst    float64
 	maxevals int
 	listen   string
-	cacheDir string
 }
 
 func parseFlags(args []string) (options, error) {
@@ -89,7 +88,6 @@ func parseFlags(args []string) (options, error) {
 	fs.Float64Var(&o.burst, "burst", 0, "admission token-bucket capacity")
 	fs.IntVar(&o.maxevals, "maxevals", 0, "replace per-class budgets with an eval-only cap (0 = class defaults); eval caps have no wall clock, so outcomes become load-independent")
 	fs.StringVar(&o.listen, "listen", "", "serve mode: HTTP listen address (empty = workload mode)")
-	fs.StringVar(&o.cacheDir, "cache-dir", "", "persistent solver-cache directory: load on startup, snapshot periodically and on graceful drain (empty = in-memory only)")
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}
@@ -109,7 +107,6 @@ func (o options) config() serve.Config {
 		BatchSize:  o.batch,
 		AdmitRate:  o.rate,
 		AdmitBurst: o.burst,
-		CacheDir:   o.cacheDir,
 	}
 	if o.maxevals > 0 {
 		// Eval-only budgets: the default class deadlines classify outcomes by
@@ -153,10 +150,6 @@ type statsJSON struct {
 	PanicsRecovered int64                  `json:"panicsRecovered"`
 	CacheHits       int64                  `json:"cacheHits"`
 	CacheMisses     int64                  `json:"cacheMisses"`
-	CacheLoaded     int64                  `json:"cacheLoaded"`
-	CacheCorrupt    int64                  `json:"cacheCorrupt"`
-	CacheSnapshots  int64                  `json:"cacheSnapshots"`
-	CachePersistErr int64                  `json:"cachePersistErrors"`
 	Breakers        map[string]string      `json:"breakers"`
 	BreakerOpens    int64                  `json:"breakerOpens"`
 	Latency         map[string]latencyJSON `json:"latency"`
@@ -176,9 +169,7 @@ func statsDoc(st serve.Stats) statsJSON {
 		Infeasible: st.Infeasible, Canceled: st.Canceled, Uncertified: st.Uncertified,
 		Errors: st.Errors, PanicsRecovered: st.PanicsRecovered,
 		CacheHits: st.CacheHits, CacheMisses: st.CacheMisses,
-		CacheLoaded: st.CacheLoaded, CacheCorrupt: st.CacheCorrupt, CacheSnapshots: st.CacheSnapshots,
-		CachePersistErr: st.CachePersistErrors,
-		Breakers:        make(map[string]string, len(st.Breakers)), BreakerOpens: st.BreakerOpens,
+		Breakers: make(map[string]string, len(st.Breakers)), BreakerOpens: st.BreakerOpens,
 		Latency: make(map[string]latencyJSON, len(st.Latency)),
 	}
 	for r, b := range st.Breakers {
@@ -362,7 +353,7 @@ func newMux(s *serve.Server) *http.ServeMux {
 			out.Error = resp.Err.Error()
 		}
 		w.Header().Set("Content-Type", "application/json")
-		//lint:ignore rawwire the HTTP demo front end renders the QoS report for humans; these bytes are never reloaded across the persistent-cache trust boundary (durable bytes go through internal/wire)
+		//lint:ignore rawwire the HTTP demo front end renders the QoS report for humans; these bytes never cross the dist worker boundary (bytes that travel between processes go through internal/wire)
 		if err := json.NewEncoder(w).Encode(out); err != nil {
 			return // client went away mid-write; nothing to clean up
 		}
@@ -389,9 +380,8 @@ func runServe(o options, stdout io.Writer) (int, error) {
 
 // serveLoop is runServe behind an injectable shutdown context and listener
 // report: tests cancel ctx instead of raising SIGINT and read the bound
-// address off ready. The finalize closure drains the server (which writes
-// the final cache snapshot in -cache-dir mode) and flushes the single stats
-// document; it runs exactly once no matter which path ends the loop —
+// address off ready. The finalize closure drains the server and flushes
+// the single stats document; it runs exactly once no matter which path ends the loop —
 // signal, listener failure, or a mid-run serve error. The previous version
 // flushed only on the path it expected, so a shutdown that raced the
 // listener's error could exit with the counters (and the histogram window

@@ -73,8 +73,7 @@ func allocProbes(seed uint64) ([]AllocProbe, error) {
 	}
 
 	// Wire codec steady state: encode into a reused writer and decode into a
-	// reused problem must both be allocation-free (the per-entry path the
-	// persistent cache's Snapshot/Load hot loops run). Not //rcr:hot roots —
+	// reused problem must both be allocation-free. Not //rcr:hot roots —
 	// this is the codec's own 0-alloc contract from DESIGN.md §15.
 	wireProblem := rraColumnIR()
 	wireW := wire.GetWriter()

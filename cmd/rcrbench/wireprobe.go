@@ -1,12 +1,13 @@
 package main
 
 // Wire codec probes (DESIGN.md §15). Two single probes time the versioned
-// binary codec itself on the qos-shaped MILP the cache persists in practice:
+// binary codec itself on the qos-shaped column MILP that dist ships per
+// cell:
 //
 //	wire_encode — Problem → frame bytes into a reused wire.Writer
 //	wire_decode — frame bytes → Problem decoded into a reused instance
-//	  (the steady-state path Load runs per entry; the alloc probes pin
-//	  both at 0 allocs/op)
+//	  (the codec's steady-state path; the alloc probes pin both at 0
+//	  allocs/op)
 
 import (
 	"repro/internal/prob"

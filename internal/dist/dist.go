@@ -10,7 +10,7 @@
 // Robustness is the core of the design. Every remote reply crosses four
 // trust layers — frame checksum, typed decode, fingerprint match, and
 // mandatory coordinator-side recertification (prob.Recertify) — and a reply
-// that fails any of them is quarantined exactly like a poisoned cache entry.
+// that fails any of them is quarantined.
 // Dead, slow, and refusing workers surface as typed guard.Status outcomes
 // through heartbeat tracking, seeded-jitter hedged re-dispatch, and
 // per-worker circuit breakers; a subproblem no worker can deliver is solved

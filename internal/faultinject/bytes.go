@@ -1,12 +1,13 @@
 package faultinject
 
-// Seeded byte-level corruption for on-disk chaos tests (DESIGN.md §15): the
-// persistent-cache suites use these to prove that every corrupted snapshot
-// entry is detected and quarantined. Like the rest of the package this is
-// pure plumbing — always compiled, driven only by explicit calls, inert
-// unless a test invokes it. Both helpers key the corruption site off the
-// content being corrupted (plus the caller's seed), so a given entry is
-// damaged the same way on every run regardless of iteration order.
+// Seeded byte-level corruption of wire frames: the transport faults
+// (transport.go) use these to truncate and bit-flip frames in flight, so
+// the dist chaos suite can prove every damaged frame is detected. Like the
+// rest of the package this is pure plumbing — always compiled, driven only
+// by explicit calls, inert unless a test invokes it. Both helpers key the
+// corruption site off the content being corrupted (plus the caller's seed),
+// so a given frame is damaged the same way on every run regardless of
+// arrival order.
 
 // hashBytes is hashPoint's byte-slice sibling: FNV-1a over the raw bytes
 // xor the seed, with the same splitmix64 finalizer.

@@ -35,7 +35,7 @@ func TestBitflipBytesDeterministicSingleBit(t *testing.T) {
 }
 
 func TestTruncateBytesDeterministicAndShorter(t *testing.T) {
-	orig := []byte("snapshot shard entry frame bytes")
+	orig := []byte("dist subproblem frame bytes")
 	a := TruncateBytes(7, orig)
 	b := TruncateBytes(7, orig)
 	if !bytes.Equal(a, b) {

@@ -9,13 +9,13 @@ import (
 // anything defined in internal/prob or internal/qos — through encoding/json,
 // encoding/gob, or encoding/binary outside internal/wire. Those encoders
 // have no format version, no shape/content fingerprint, and no checksum, so
-// bytes they produce cannot cross the persistent-cache trust boundary
-// (DESIGN.md §15): a loaded snapshot could neither detect codec drift nor
-// prove the payload is the problem it claims to be. Durable encodings go
-// through the versioned wire codec; human-facing JSON (an HTTP demo front
-// end, an operator stats dump) stays legitimate behind a reasoned
-// suppression, which doubles as documentation that those bytes are for
-// eyeballs, not for reload.
+// bytes they produce cannot cross the dist worker boundary (DESIGN.md §15,
+// §16): a coordinator receiving them could neither detect codec drift nor
+// prove the payload is the problem it claims to be. Bytes that travel
+// between processes go through the versioned wire codec; human-facing JSON
+// (an HTTP demo front end, an operator stats dump) stays legitimate behind a
+// reasoned suppression, which doubles as documentation that those bytes are
+// for eyeballs, not for another process to decode.
 var AnalyzerRawWire = &Analyzer{
 	Name:     "rawwire",
 	Doc:      "ad-hoc json/gob/binary serialization of prob or qos types outside internal/wire",

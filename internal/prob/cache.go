@@ -9,8 +9,8 @@ import (
 )
 
 // This file implements the structural-fingerprint cache: repeated solves of
-// a content-identical problem — qosd's repeat traffic, a warm-restarted
-// service — reuse the lowered/compiled form instead of lowering again.
+// a content-identical problem — qosd's repeat traffic — reuse the
+// lowered/compiled form instead of lowering again.
 
 // Fingerprint identifies a Problem at two precisions. Shape hashes only the
 // structure — dimensions, sparsity bookkeeping (row lengths, senses, bound
@@ -148,18 +148,14 @@ func boolWord(b bool) uint64 {
 	return 0
 }
 
-// cacheShards is the fixed fan-out of the fingerprint map. Sixteen shards
-// keep the worst case (every goroutine hammering one shard) no worse than
-// the historical single mutex while letting a service's concurrent traffic
-// over distinct shapes proceed without serializing on one lock.
-const cacheShards = 16
-
-// Cache memoizes lowered/compiled forms keyed by structural fingerprint. It
-// is safe for concurrent use and sharded by shape fingerprint (per-shard
-// mutexes instead of one lock), so concurrent service traffic — qosd
-// workers solving many cells at once — doesn't serialize on cache lookups;
-// entries are immutable once stored, so readers never observe partial
-// updates.
+// Cache memoizes lowered/compiled forms keyed by structural fingerprint: one
+// in-memory map behind one lock, safe for concurrent use, whose entries are
+// immutable once stored.
+//
+// The lock is never a bottleneck (one lookup and at most one store per rung
+// solve of milliseconds). It is an RWMutex rather than a Mutex for code
+// layout only: a Mutex puts lp.pivot at 32 mod 64 in the perfbench binary,
+// costing verify-exact about 20% of its throughput (ci.sh prints the offset).
 //
 // The contract, enforced by Solve: equal Shape and equal Content → the
 // compiled backend problem is reused verbatim (Result.CacheHit), skipping
@@ -168,34 +164,19 @@ const cacheShards = 16
 // cached solve is bit-identical to an uncached one whatever ran through the
 // cache before it. The compiled form is a pure function of the problem, so a
 // bad solve cannot poison it.
+//
+// One entry per Shape bounds memory by the number of distinct shapes; same-
+// shape instances with different coefficients evict each other, so hit
+// counts depend on solve order. Answers never do.
 type Cache struct {
-	shards [cacheShards]cacheShard
-	// Effectiveness counters live outside the shard locks so Stats never
-	// takes all sixteen mutexes and record() never contends with lookups.
-	hits, misses atomic.Int64
-}
-
-// cacheShard is one lock-striped slice of the fingerprint map.
-type cacheShard struct {
-	mu      sync.Mutex
-	entries map[uint64]*cacheEntry
-}
-
-// shard returns the shard owning a shape fingerprint. The shape hash is
-// FNV-mixed but carries no finalizer, so fold the high bits down before
-// masking — adjacent structures must not pile onto one shard.
-func (c *Cache) shard(shape uint64) *cacheShard {
-	return &c.shards[(shape^(shape>>32)^(shape>>16))&(cacheShards-1)]
+	mu           sync.RWMutex
+	entries      map[uint64]*cacheEntry
+	hits, misses atomic.Int64 // outside the lock: record() never contends
 }
 
 type cacheEntry struct {
 	content uint64
 	low     *loweredForm
-	// orig is a private clone of the problem whose solve produced this
-	// entry. Lowered forms hold recovery closures and cannot travel, so
-	// persistence (persist.go) snapshots orig instead and re-lowers it
-	// deterministically at load.
-	orig *Problem
 }
 
 // CacheStats reports cache effectiveness counters.
@@ -208,11 +189,7 @@ type CacheStats struct {
 
 // NewCache returns an empty cache.
 func NewCache() *Cache {
-	c := &Cache{}
-	for i := range c.shards {
-		c.shards[i].entries = make(map[uint64]*cacheEntry)
-	}
-	return c
+	return &Cache{entries: make(map[uint64]*cacheEntry)}
 }
 
 // DisableWarmStarts is a no-op kept for source compatibility: the cache
@@ -235,24 +212,21 @@ func (c *Cache) lookup(shape uint64) *cacheEntry {
 	if c == nil {
 		return nil
 	}
-	s := c.shard(shape)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.entries[shape]
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.entries[shape]
 }
 
-// store records the problem and its lowered form for a shape, replacing
-// (never mutating) any previous entry. The problem is cloned so later
-// caller mutations cannot leak into the cache or its snapshots. Nil-safe.
-func (c *Cache) store(p *Problem, fp Fingerprint, low *loweredForm) {
+// store records the lowered form for a shape, replacing (never mutating)
+// any previous entry. low must share no memory with the caller's problem
+// (Solve lowers a private clone). Nil-safe.
+func (c *Cache) store(fp Fingerprint, low *loweredForm) {
 	if c == nil {
 		return
 	}
-	orig := p.Clone()
-	s := c.shard(fp.Shape)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.entries[fp.Shape] = &cacheEntry{content: fp.Content, low: low, orig: orig}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.entries[fp.Shape] = &cacheEntry{content: fp.Content, low: low}
 }
 
 // record updates the effectiveness counters for one solve. Nil-safe.

@@ -348,8 +348,7 @@ func columnMILP(seed uint64) *prob.Problem {
 // solve through a cache that has just solved a same-shape neighbour (same
 // structure, different coefficients) is bit-identical to an uncached
 // solve, and so is the content-identical re-solve that hits the compiled
-// form — through the live cache and through one restored from a snapshot,
-// at RCR_WORKERS=1 and 8. The cache shares compiled forms, never answers.
+// form, at RCR_WORKERS=1 and 8. The cache shares compiled forms, never answers.
 func TestCacheNeverChangesAnswer(t *testing.T) {
 	relaxed := func(p *prob.Problem) *prob.Problem {
 		p.Integer = nil
@@ -397,34 +396,80 @@ func TestCacheNeverChangesAnswer(t *testing.T) {
 					t.Fatalf("uncached target: %v on %s", want.Status, want.Backend)
 				}
 
-				live := prob.NewCache()
-				solve(t, tc.neighbour(), live)
-				dir := t.TempDir()
-				if _, err := live.Snapshot(dir); err != nil {
-					t.Fatal(err)
+				cache := prob.NewCache()
+				solve(t, tc.neighbour(), cache)
+				label := "workers=" + workers
+				miss := solve(t, tc.target(), cache)
+				if miss.CacheHit {
+					t.Fatalf("%s: new content reported a cache hit", label)
 				}
-				restored := prob.NewCache()
-				if st, err := restored.Load(dir); err != nil || st.Entries != 1 {
-					t.Fatalf("Load = %+v, %v; want 1 entry", st, err)
+				sameAnswer(t, label+" after neighbour", miss, want)
+				hit := solve(t, tc.target(), cache)
+				if !hit.CacheHit {
+					t.Fatalf("%s: content-identical re-solve missed", label)
 				}
-
-				for _, c := range []struct {
-					name  string
-					cache *prob.Cache
-				}{{"live", live}, {"restored", restored}} {
-					label := c.name + " workers=" + workers
-					miss := solve(t, tc.target(), c.cache)
-					if miss.CacheHit {
-						t.Fatalf("%s: new content reported a cache hit", label)
-					}
-					sameAnswer(t, label+" after neighbour", miss, want)
-					hit := solve(t, tc.target(), c.cache)
-					if !hit.CacheHit {
-						t.Fatalf("%s: content-identical re-solve missed", label)
-					}
-					sameAnswer(t, label+" on hit", hit, want)
-				}
+				sameAnswer(t, label+" on hit", hit, want)
 			}
+		})
+	}
+}
+
+// TestCachedFormOwnsItsProblem: a caller may edit its problem in place
+// after a cached solve — change a coefficient, then append a row so the
+// edited problem has another Shape and never replaces the cached entry. A
+// later content-identical solve must still hit a form of the original
+// problem and answer exactly as an uncached solve does.
+func TestCachedFormOwnsItsProblem(t *testing.T) {
+	lpIR := func() *prob.Problem {
+		// min -x-y, x+y <= 4, 0 <= x,y <= 3: optimum -4.
+		return &prob.Problem{
+			NumVars: 2,
+			Obj:     prob.Objective{Lin: []float64{-1, -1}},
+			Hi:      []float64{3, 3},
+			Lin:     []prob.LinCon{{Coeffs: []float64{1, 1}, Sense: prob.LE, RHS: 4}},
+		}
+	}
+	qpIR := func() *prob.Problem {
+		// min x² - 2x over [0, 3]: optimum at x = 1.
+		return &prob.Problem{
+			NumVars: 1,
+			Obj:     prob.Objective{Quad: mustMat(t, [][]float64{{2}}), Lin: []float64{-2}},
+			Hi:      []float64{3},
+		}
+	}
+	cases := []struct {
+		name  string
+		build func() *prob.Problem
+		edit  func(p *prob.Problem)
+	}{
+		{"lp row coefficient", lpIR, func(p *prob.Problem) { p.Lin[0].Coeffs[0] = 2 }},
+		{"lp bound", lpIR, func(p *prob.Problem) { p.Hi[0] = 0.5 }},
+		{"qp objective matrix", qpIR, func(p *prob.Problem) { p.Obj.Quad.Data[0] = 8 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			want, err := prob.Solve(tc.build(), prob.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cache := prob.NewCache()
+			p := tc.build()
+			if _, err := prob.Solve(p, prob.Options{Cache: cache}); err != nil {
+				t.Fatal(err)
+			}
+			tc.edit(p)
+			p.Lin = append(p.Lin, prob.LinCon{Coeffs: []float64{1}, Sense: prob.LE, RHS: 3})
+			if _, err := prob.Solve(p, prob.Options{Cache: cache}); err != nil {
+				t.Fatal(err)
+			}
+			got, err := prob.Solve(tc.build(), prob.Options{Cache: cache})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.CacheHit {
+				t.Fatal("content-identical re-solve missed the cache")
+			}
+			sameAnswer(t, "after the caller's edit", got, want)
 		})
 	}
 }

@@ -20,8 +20,8 @@
 // guard.Status and the per-pass provenance trail.
 //
 // A structural-fingerprint cache (see Cache) lets repeated solves of a
-// content-identical problem — qosd's repeat traffic, a restarted service —
-// reuse the lowered/compiled form. It never changes the answer.
+// content-identical problem — qosd's repeat traffic — reuse the
+// lowered/compiled form. It never changes the answer.
 package prob
 
 import (
@@ -336,6 +336,27 @@ func (p *Problem) Clone() *Problem {
 	return q
 }
 
+// deepClone is Clone with every coefficient slice and matrix copied as
+// well, so nothing lowered from the copy aliases p.
+func (p *Problem) deepClone() *Problem {
+	q := p.Clone()
+	q.Obj.Quad = cloneMat(q.Obj.Quad)
+	for i := range q.Lin {
+		q.Lin[i].Coeffs = cloneF(q.Lin[i].Coeffs)
+	}
+	for i := range q.Quad {
+		q.Quad[i].P = cloneMat(q.Quad[i].P)
+		q.Quad[i].Q = cloneF(q.Quad[i].Q)
+	}
+	if m := q.Matrix; m != nil {
+		m.C = cloneMat(m.C)
+		for i, a := range m.A {
+			m.A[i] = cloneMat(a)
+		}
+	}
+	return q
+}
+
 // Bound returns the effective bounds of variable j under the lp package's
 // nil conventions (nil Lo ⇒ 0, nil Hi ⇒ +Inf).
 func (p *Problem) Bound(j int) (lo, hi float64) {
@@ -354,4 +375,11 @@ func cloneF(xs []float64) []float64 {
 		return nil
 	}
 	return append([]float64(nil), xs...)
+}
+
+func cloneMat(m *mat.Matrix) *mat.Matrix {
+	if m == nil {
+		return nil
+	}
+	return m.Clone()
 }

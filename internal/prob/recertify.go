@@ -8,8 +8,7 @@ package prob
 // coordinator merges a remote result it therefore re-runs the semantic
 // slice of the certificate against its own copy of the problem: primal
 // feasibility recomputed from the IR, integrality of incumbents, and
-// objective reproduction at the returned point. The persistent cache needs
-// no such step: it loads problems, never answers (persist.go).
+// objective reproduction at the returned point.
 
 import (
 	"errors"

@@ -155,8 +155,12 @@ func Solve(p *Problem, o Options) (*Result, error) {
 		}
 	}
 	if low == nil {
+		src := p
+		if o.Cache != nil {
+			src = p.deepClone() // a kept form must outlive edits to p
+		}
 		var err error
-		low, err = lowerForBackend(p)
+		low, err = lowerForBackend(src)
 		if err != nil {
 			return nil, err
 		}
@@ -239,7 +243,7 @@ func Solve(p *Problem, o Options) (*Result, error) {
 	// was, so an identical later request lowers afresh and counts a miss.
 	certOK := res.Cert == nil || res.Cert.Verdict != cert.VerdictFail
 	if (backendX != nil || backendXMat != nil) && res.Status != guard.StatusDiverged && certOK {
-		o.Cache.store(p, fp, low)
+		o.Cache.store(fp, low)
 	}
 	return res, err
 }

@@ -110,7 +110,7 @@ func TestConcurrentSolvesSharedCache(t *testing.T) {
 }
 
 // knapsackNIR builds an n-item knapsack IR: each distinct n is a distinct
-// Shape fingerprint (so the stress spreads across cache shards), while
+// Shape fingerprint (so the stress fills several cache entries), while
 // different rate vectors at one n collide on Shape and differ on Content.
 func knapsackNIR(n int, bump float64) *prob.Problem {
 	rates := make([]float64, n)
@@ -132,10 +132,10 @@ func knapsackNIR(n int, bump float64) *prob.Problem {
 	}
 }
 
-// TestShardedCacheStress hammers the sharded cache from 8 goroutines over
-// distinct shapes (spread across shards) and colliding fingerprints (same
-// shape, different content), then re-runs the identical workload serially
-// and compares the CacheStats totals. The workload is phase-structured so
+// TestCacheStress hammers one shared cache from 8 goroutines over distinct
+// shapes and colliding fingerprints (same shape, different content), then
+// re-runs the identical workload serially and compares the CacheStats
+// totals. The workload is phase-structured so
 // the invariant counters are interleaving-independent:
 //
 //	phase 1 — clean solves over every (shape, content) pair, repeats
@@ -145,7 +145,7 @@ func knapsackNIR(n int, bump float64) *prob.Problem {
 //
 // and a serial recovery pass then re-solves every shape clean, which must
 // be bit-identical to an uncached solve.
-func TestShardedCacheStress(t *testing.T) {
+func TestCacheStress(t *testing.T) {
 	const (
 		goroutines = 8
 		shapes     = 8 // n = 3..10 → 8 distinct Shape fingerprints
@@ -230,7 +230,7 @@ func TestShardedCacheStress(t *testing.T) {
 	if parSolves != serialSolves {
 		t.Fatalf("workloads diverged: %d parallel vs %d serial solves", parSolves, serialSolves)
 	}
-	// One record per solve, sharded or not.
+	// One record per solve, parallel or not.
 	if got, want := parStats.Hits+parStats.Misses, parSolves; got != want {
 		t.Errorf("parallel hits+misses = %d, want %d (stats %+v)", got, want, parStats)
 	}

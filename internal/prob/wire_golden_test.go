@@ -33,7 +33,7 @@ func goldenWireFixtures(t *testing.T) map[string]*prob.Problem {
 	}
 }
 
-// TestGoldenWireFixtures pins the on-disk byte layout: any codec change that
+// TestGoldenWireFixtures pins the frame byte layout: any codec change that
 // alters the bytes of an already-released frame must bump wire.Version and
 // regenerate these files deliberately (-update-wire), never silently.
 func TestGoldenWireFixtures(t *testing.T) {

@@ -20,11 +20,11 @@
 //   - Response: a typed Outcome from the same taxonomy (and exit codes) as
 //     cmd/qossolver.
 //
-// Determinism: the shared solve cache memoizes compiled forms only
-// (prob.Cache), so one request's solution never seeds another's
-// branch-and-bound — an identical request with an identical seed yields a
-// bit-identical allocation at any worker count and under any arrival
-// interleaving. Admission decisions are equally replayable for a
+// Determinism: the shared solve cache (one in-memory prob.Cache per Server,
+// gone with the process) memoizes compiled forms only, so one request's
+// solution never seeds another's branch-and-bound — an identical request
+// with an identical seed yields a bit-identical allocation at any worker
+// count and under any arrival interleaving. Admission decisions are equally replayable for a
 // fixed submission order. The package intentionally sits outside the
 // rcrlint nondet surface: wall-clock latency measurement and goroutines are
 // service concerns; everything that reaches a solver stays seeded.
@@ -109,16 +109,6 @@ type Config struct {
 	// PSO configures the ladder's metaheuristic rung (default: small swarm
 	// sized for interactive deadlines).
 	PSO pso.Options
-	// CacheDir, when set, makes the solver cache persistent: New loads the
-	// snapshot under it (every loaded entry crosses the prob.Cache trust
-	// boundary — see DESIGN.md §15), the server re-snapshots every
-	// SnapshotEvery logical ticks, and Close writes a final snapshot after
-	// the drain. Empty disables persistence.
-	CacheDir string
-	// SnapshotEvery is the periodic snapshot cadence in logical submission
-	// ticks (default 256 when CacheDir is set; negative disables periodic
-	// snapshots, leaving only the one at Close).
-	SnapshotEvery int
 	// Tamper is the chaos seam forwarded into the ladder's certified rungs
 	// (see qos.RobustOptions.Tamper). Production leaves it nil.
 	Tamper func(*prob.Result)
@@ -155,9 +145,6 @@ func (c Config) withDefaults() Config {
 	if c.PSO.Swarm == 0 && c.PSO.MaxIter == 0 {
 		c.PSO = pso.Options{Swarm: 15, MaxIter: 60}
 	}
-	if c.CacheDir != "" && c.SnapshotEvery == 0 {
-		c.SnapshotEvery = 256
-	}
 	merged := DefaultBudgets()
 	for cl, b := range c.Budgets {
 		merged[cl] = b
@@ -187,15 +174,6 @@ type Server struct {
 	draining bool
 	ticks    atomic.Uint64
 	wg       sync.WaitGroup
-
-	// Persistence (CacheDir mode): loadStats records what New restored,
-	// snapshotting single-flights the periodic background snapshot, snapWG
-	// tracks it so Close never races a writer, and finalSnap makes the
-	// shutdown snapshot exactly-once across repeated Close calls.
-	loadStats    prob.LoadStats
-	snapshotting atomic.Bool
-	snapWG       sync.WaitGroup
-	finalSnap    sync.Once
 }
 
 // New starts a server with cfg's worker pool running.
@@ -220,16 +198,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.AdmitRate > 0 {
 		s.bucket = NewTokenBucket(cfg.AdmitRate, cfg.AdmitBurst)
-	}
-	if cfg.CacheDir != "" {
-		// Warm restart: restore the previous process's compiled forms
-		// before any worker starts; corrupt entries are skipped and surface
-		// in Stats.CacheCorrupt.
-		ls, err := s.cache.Load(cfg.CacheDir)
-		if err != nil {
-			s.stats.persistErrors.Add(1)
-		}
-		s.loadStats = ls
 	}
 	s.wg.Add(cfg.Workers)
 	for w := 0; w < cfg.Workers; w++ {
@@ -272,9 +240,6 @@ func (s *Server) Submit(req Request) <-chan Response {
 		return done
 	}
 	tick := s.ticks.Add(1)
-	if s.cfg.CacheDir != "" && s.cfg.SnapshotEvery > 0 && tick%uint64(s.cfg.SnapshotEvery) == 0 {
-		s.snapshotAsync()
-	}
 	if s.bucket != nil && !s.bucket.Admit(tick) {
 		s.stats.shedRateLimit.Add(1)
 		done <- shed(req.ID, "rate limit")
@@ -296,10 +261,7 @@ func (s *Server) Do(req Request) Response {
 }
 
 // Close drains the server: no new admissions (typed sheds), queued work
-// completes, workers exit. In CacheDir mode, one final snapshot is written
-// after the drain — exactly once, no matter how many times Close is called,
-// and never concurrently with a periodic snapshot. Safe to call more than
-// once.
+// completes, workers exit. Safe to call more than once.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if !s.draining {
@@ -311,61 +273,28 @@ func (s *Server) Close() {
 	}
 	s.mu.Unlock()
 	s.wg.Wait()
-	s.snapWG.Wait()
-	if s.cfg.CacheDir != "" {
-		s.finalSnap.Do(s.snapshot)
-	}
-}
-
-// snapshotAsync starts one background snapshot unless one is already in
-// flight: snapshots are cheap but not free, and a burst of submissions
-// landing on the cadence boundary must not stack writers on one directory.
-func (s *Server) snapshotAsync() {
-	if !s.snapshotting.CompareAndSwap(false, true) {
-		return
-	}
-	s.snapWG.Add(1)
-	//lint:ignore nondet background snapshot is pure I/O off the solve path: bytes are sorted inside Snapshot, no solver state is read unlocked, and Close awaits snapWG so the write never races shutdown
-	go func() {
-		defer s.snapWG.Done()
-		defer s.snapshotting.Store(false)
-		s.snapshot()
-	}()
-}
-
-// snapshot writes the cache to CacheDir once, counting the outcome.
-func (s *Server) snapshot() {
-	if _, err := s.cache.Snapshot(s.cfg.CacheDir); err != nil {
-		s.stats.persistErrors.Add(1)
-		return
-	}
-	s.stats.snapshots.Add(1)
 }
 
 // Stats snapshots the server's counters.
 func (s *Server) Stats() Stats {
 	cs := s.cache.Stats()
 	st := Stats{
-		Admitted:           s.stats.admitted.Load(),
-		ShedRateLimit:      s.stats.shedRateLimit.Load(),
-		ShedQueueFull:      s.stats.shedQueueFull.Load(),
-		ShedDraining:       s.stats.shedDraining.Load(),
-		Served:             s.stats.served.Load(),
-		Degraded:           s.stats.degraded.Load(),
-		DeadlineMissed:     s.stats.deadlineMissed.Load(),
-		Infeasible:         s.stats.infeasible.Load(),
-		Canceled:           s.stats.canceled.Load(),
-		Uncertified:        s.stats.uncertified.Load(),
-		Errors:             s.stats.errors.Load(),
-		PanicsRecovered:    s.stats.panics.Load(),
-		CacheHits:          int64(cs.Hits),
-		CacheMisses:        int64(cs.Misses),
-		CacheLoaded:        int64(s.loadStats.Entries),
-		CacheCorrupt:       int64(s.loadStats.Corrupt),
-		CacheSnapshots:     s.stats.snapshots.Load(),
-		CachePersistErrors: s.stats.persistErrors.Load(),
-		Breakers:           make(map[qos.Rung]BreakerState, len(s.breakers)),
-		Latency:            make(map[qos.Class]ClassLatency),
+		Admitted:        s.stats.admitted.Load(),
+		ShedRateLimit:   s.stats.shedRateLimit.Load(),
+		ShedQueueFull:   s.stats.shedQueueFull.Load(),
+		ShedDraining:    s.stats.shedDraining.Load(),
+		Served:          s.stats.served.Load(),
+		Degraded:        s.stats.degraded.Load(),
+		DeadlineMissed:  s.stats.deadlineMissed.Load(),
+		Infeasible:      s.stats.infeasible.Load(),
+		Canceled:        s.stats.canceled.Load(),
+		Uncertified:     s.stats.uncertified.Load(),
+		Errors:          s.stats.errors.Load(),
+		PanicsRecovered: s.stats.panics.Load(),
+		CacheHits:       int64(cs.Hits),
+		CacheMisses:     int64(cs.Misses),
+		Breakers:        make(map[qos.Rung]BreakerState, len(s.breakers)),
+		Latency:         make(map[qos.Class]ClassLatency),
 	}
 	for r, b := range s.breakers {
 		st.Breakers[r] = b.State()

@@ -90,13 +90,6 @@ type Stats struct {
 	// Shared solver cache.
 	CacheHits   int64
 	CacheMisses int64
-	// Persistence (CacheDir mode; all zero otherwise). CacheLoaded counts
-	// entries restored at startup, CacheCorrupt the entries refused at the
-	// load trust boundary (checksum, decode, or fingerprint failures).
-	CacheLoaded        int64
-	CacheCorrupt       int64
-	CacheSnapshots     int64
-	CachePersistErrors int64
 	// Breakers: rung → current state; Opens counts cumulative trips.
 	Breakers     map[qos.Rung]BreakerState
 	BreakerOpens int64
@@ -120,9 +113,6 @@ type counters struct {
 	errors         atomic.Int64
 
 	panics atomic.Int64
-
-	snapshots     atomic.Int64
-	persistErrors atomic.Int64
 
 	// latency is indexed by qos.Class (1..3); slot 0 absorbs unknowns.
 	latency [4]Histogram

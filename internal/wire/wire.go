@@ -1,6 +1,6 @@
 // Package wire is the versioned binary wire format shared by every layer
-// that persists or ships IR state: problems, results, and cached incumbents
-// (DESIGN.md §15). It is stdlib-only and allocation-free on the hot paths:
+// that ships IR state between processes: problems, results, and the dist
+// coordinator/worker envelopes (DESIGN.md §15). It is stdlib-only and allocation-free on the hot paths:
 // writers are pooled append-based buffers, readers are value types with a
 // sticky error, and all multi-byte values are explicit little-endian.
 //
@@ -9,7 +9,7 @@
 //	offset  size  field
 //	     0     4  magic "RCRW"
 //	     4     2  format version (uint16, little-endian)
-//	     6     2  kind (uint16: problem, result, cache entry, snapshot)
+//	     6     2  kind (uint16: problem, result, dist envelopes)
 //	     8     8  shape fingerprint (uint64)
 //	    16     8  content fingerprint (uint64)
 //	    24     8  payload length in bytes (uint64)
@@ -23,8 +23,8 @@
 // object that was encoded (codec drift detection); kinds keep a Problem
 // frame from being misread as a Result frame. Integrity (checksum),
 // structure (typed decode errors), identity (fingerprints), and semantics
-// (re-certification of loaded incumbents, internal/prob persist.go) are
-// four distinct trust layers — this package owns the first three.
+// (re-certification of remote results, prob.Recertify) are four distinct
+// trust layers — this package owns the first three.
 package wire
 
 import (
@@ -42,10 +42,9 @@ const Version uint16 = 1
 
 // Frame kinds. A decoder must check the kind before interpreting a payload.
 const (
-	KindProblem    uint16 = 1 // prob.Problem payload
-	KindResult     uint16 = 2 // prob.Result payload
-	KindCacheEntry uint16 = 3 // persisted cache entry (problem + incumbent)
-	KindSnapshot   uint16 = 4 // cache shard snapshot preamble
+	KindProblem uint16 = 1 // prob.Problem payload
+	KindResult  uint16 = 2 // prob.Result payload
+	// 3 and 4 stay unassigned: old cache snapshot files on disk carry them.
 	KindSubproblem uint16 = 5 // dist coordinator→worker dispatch envelope (budget + knobs + nested Problem)
 	KindSubResult  uint16 = 6 // dist worker→coordinator reply envelope (nested Result or typed refusal)
 	KindHello      uint16 = 7 // dist worker handshake; its header version is the skew check

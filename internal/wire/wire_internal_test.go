@@ -158,10 +158,10 @@ func TestFrameRoundTrip(t *testing.T) {
 func TestNestedFrames(t *testing.T) {
 	w := GetWriter()
 	defer PutWriter(w)
-	outer := w.BeginFrame(Header{Kind: KindSnapshot})
+	outer := w.BeginFrame(Header{Kind: KindSubproblem})
 	w.U32(2)
 	for i := uint64(0); i < 2; i++ {
-		inner := w.BeginFrame(Header{Kind: KindCacheEntry, Shape: i})
+		inner := w.BeginFrame(Header{Kind: KindProblem, Shape: i})
 		w.U64(100 + i)
 		w.EndFrame(inner)
 	}
@@ -184,7 +184,7 @@ func TestNestedFrames(t *testing.T) {
 		if err != nil {
 			t.Fatalf("entry %d: %v", i, err)
 		}
-		if h.Kind != KindCacheEntry || h.Shape != i {
+		if h.Kind != KindProblem || h.Shape != i {
 			t.Fatalf("entry %d header = %+v", i, h)
 		}
 		br := NewReader(body)
